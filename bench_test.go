@@ -438,6 +438,35 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 // single-core machine the speedup comes from batching and I/O overlap,
 // on multi-core additionally from parallel extraction.
 
+// drainPipeline runs the queue through the pipeline engine, returning how
+// many messages finished and the first error.
+func drainPipeline(sys *core.System) (done int, first error) {
+	sys.MC.DrainEach(context.Background(), 0, func(_ *coordinator.Outcome, err error) {
+		switch {
+		case err == nil:
+			done++
+		case first == nil:
+			first = err
+		}
+	})
+	return done, first
+}
+
+// drainSequential is the same over the reference engine, in queue order.
+func drainSequential(sys *core.System) (done int, first error) {
+	for {
+		_, ok, err := sys.MC.ProcessOne(context.Background())
+		switch {
+		case !ok:
+			return done, first
+		case err == nil:
+			done++
+		case first == nil:
+			first = err
+		}
+	}
+}
+
 func BenchmarkDrainParallel(b *testing.B) {
 	g, _ := benchFixtures(b)
 	gen, err := tweetgen.New(tweetgen.Config{Seed: 99, Noise: 0.4, Domain: tweetgen.DomainMixed, RequestRatio: 0.2})
@@ -477,18 +506,18 @@ func BenchmarkDrainParallel(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				var outs []*coordinator.Outcome
-				var errs []error
+				var done int
+				var derr error
 				if cfg.concurrent {
-					outs, errs = sys.ProcessConcurrent(context.Background(), 0)
+					done, derr = drainPipeline(sys)
 				} else {
-					outs, errs = sys.MC.Drain(0)
+					done, derr = drainSequential(sys)
 				}
 				b.StopTimer()
-				if len(errs) != 0 {
-					b.Fatalf("drain errors: %v", errs[0])
+				if derr != nil {
+					b.Fatalf("drain errors: %v", derr)
 				}
-				processed += len(outs)
+				processed += done
 				sys.Close()
 				b.StartTimer()
 			}
@@ -541,10 +570,10 @@ func BenchmarkDrainMetricsOverhead(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				_, errs := sys.ProcessConcurrent(context.Background(), 0)
+				_, derr := drainPipeline(sys)
 				b.StopTimer()
-				if len(errs) != 0 {
-					b.Fatalf("drain errors: %v", errs[0])
+				if derr != nil {
+					b.Fatalf("drain errors: %v", derr)
 				}
 				processed += perIter
 				sys.Close()
@@ -597,10 +626,10 @@ func BenchmarkDrainTracingOverhead(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				_, errs := sys.ProcessConcurrent(context.Background(), 0)
+				_, derr := drainPipeline(sys)
 				b.StopTimer()
-				if len(errs) != 0 {
-					b.Fatalf("drain errors: %v", errs[0])
+				if derr != nil {
+					b.Fatalf("drain errors: %v", derr)
 				}
 				processed += perIter
 				sys.Close()
@@ -642,8 +671,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
-				b.Fatalf("drain errors: %v", errs[0])
+			if _, err := drainPipeline(sys); err != nil {
+				b.Fatalf("drain errors: %v", err)
 			}
 			var bytes int64
 			b.ResetTimer()
@@ -696,17 +725,17 @@ func BenchmarkDrainWithCheckpointing(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				outs, errs := sys.ProcessConcurrent(context.Background(), 0)
+				done, derr := drainPipeline(sys)
 				if checkpointing {
 					if _, err := sys.Checkpoint(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
-				if len(errs) != 0 {
-					b.Fatalf("drain errors: %v", errs[0])
+				if derr != nil {
+					b.Fatalf("drain errors: %v", derr)
 				}
-				processed += len(outs)
+				processed += done
 				sys.Close()
 				b.StartTimer()
 			}
@@ -745,8 +774,8 @@ func benchAskSystem(b *testing.B, cache int) *core.System {
 			b.Fatal(err)
 		}
 	}
-	if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
-		b.Fatalf("drain errors: %v", errs[0])
+	if _, err := drainPipeline(sys); err != nil {
+		b.Fatalf("drain errors: %v", err)
 	}
 	// Warm pass: fills the cache when one is configured; for the uncached
 	// system it just equalises any lazy one-time costs.
@@ -1008,12 +1037,12 @@ func BenchmarkDrainSharded(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				outs, errs := sys.ProcessConcurrent(context.Background(), 0)
+				done, derr := drainPipeline(sys)
 				b.StopTimer()
-				if len(errs) != 0 {
-					b.Fatalf("drain errors: %v", errs[0])
+				if derr != nil {
+					b.Fatalf("drain errors: %v", derr)
 				}
-				processed += len(outs)
+				processed += done
 				sys.Close()
 				b.StartTimer()
 			}
@@ -1048,8 +1077,8 @@ func benchFeedbackSystem(b *testing.B, shards, n int) (*core.System, []int64) {
 			b.Fatal(err)
 		}
 	}
-	if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
-		b.Fatalf("drain errors: %v", errs[0])
+	if _, err := drainPipeline(sys); err != nil {
+		b.Fatalf("drain errors: %v", err)
 	}
 	var ids []int64
 	for _, coll := range sys.Store.Collections() {
@@ -1112,8 +1141,8 @@ func BenchmarkMixedAskFeedbackDrain(b *testing.B) {
 		if _, err := sys.Submit(context.Background(), m.Text, m.Source); err != nil {
 			b.Fatal(err)
 		}
-		if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
-			b.Fatalf("drain errors: %v", errs[0])
+		if _, err := drainPipeline(sys); err != nil {
+			b.Fatalf("drain errors: %v", err)
 		}
 		if _, err := sys.Ask(context.Background(), questions[i%len(questions)], "asker"); err != nil {
 			b.Fatal(err)

@@ -3,71 +3,39 @@ package neogeo
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"repro/internal/coordinator"
 )
 
-// Drain processes queued messages through the concurrent pipeline —
-// dispatcher, worker pool (WithWorkers), one integration lane per shard —
-// until the queue is empty, limit messages have been dispatched
+// Drain processes queued messages through the coordinator's pipeline
+// engine (coordinator.DrainEach) — the calling goroutine dispatches, a
+// worker pool (WithWorkers) extracts, one integration lane per shard
+// commits — until the queue is empty, limit messages have been dispatched
 // (limit <= 0 means no limit), or ctx is cancelled.
 //
 // The result is a streaming iterator: each finished message yields
 // exactly one (outcome, nil) or (nil, error) pair as the pipeline
 // completes it, in completion order, so a million-message drain never
-// buffers every outcome in memory. Breaking out of the loop cancels the
-// drain; messages already dispatched into the pipeline complete (and are
-// acknowledged) with their outcomes discarded, undispatched ones stay
-// pending for the next drain — no message is lost or stranded in flight.
-// Failed messages are negatively acknowledged for redelivery and
-// dead-letter after the queue's attempt limit, surfacing here as errors.
+// buffers every outcome in memory. The loop body runs on the goroutine
+// that ranges — Drain starts none of its own — so a panic in it unwinds
+// through the caller like any other. Breaking out of the loop (or
+// panicking) cancels the drain; messages already dispatched into the
+// pipeline complete (and are acknowledged) with their outcomes discarded,
+// undispatched ones stay pending for the next drain — no message is lost
+// or stranded in flight. Failed messages are negatively acknowledged for
+// redelivery and dead-letter after the queue's attempt limit, surfacing
+// here as errors. Concurrent Drain calls compete for messages and each
+// returns once the queue is empty and its own messages are settled.
 func (s *System) Drain(ctx context.Context, limit int) iter.Seq2[*Outcome, error] {
 	return func(yield func(*Outcome, error) bool) {
 		ctx, cancel := context.WithCancel(ctx)
-		// halt releases the pipeline: the dispatcher stops on the
-		// cancelled ctx, and any emit blocked on the results channel
-		// unblocks on the closed stop channel (its outcome is dropped).
-		stop := make(chan struct{})
-		var once sync.Once
-		halt := func() {
-			once.Do(func() {
+		defer cancel()
+		stopped := false
+		s.sys.MC.DrainEach(ctx, limit, func(out *coordinator.Outcome, err error) {
+			if !stopped && !yield(publicOutcome(out), err) {
+				stopped = true
 				cancel()
-				close(stop)
-			})
-		}
-
-		type item struct {
-			out *coordinator.Outcome
-			err error
-		}
-		results := make(chan item)
-		go func() {
-			defer close(results)
-			s.sys.ProcessEach(ctx, limit, func(out *coordinator.Outcome, err error) {
-				select {
-				case results <- item{out: out, err: err}:
-				case <-stop:
-				}
-			})
-		}()
-
-		// On any exit — normal completion, break, or a panic/Goexit in
-		// the consumer's loop body — halt the pipeline and consume the
-		// channel until the producer closes it, so the drain goroutines
-		// never leak and every dispatched message still reaches its
-		// lane's group commit. Deferred LIFO: halt runs first, then the
-		// drain-off.
-		defer func() {
-			for range results {
 			}
-		}()
-		defer halt()
-
-		for it := range results {
-			if !yield(publicOutcome(it.out), it.err) {
-				return
-			}
-		}
+		})
 	}
 }

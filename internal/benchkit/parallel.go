@@ -99,7 +99,7 @@ func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 		for _, nshards := range shardCounts {
 			sysCfg := core.Config{Gazetteer: gaz, Workers: wk, Shards: nshards, IntegrateBatch: 16}
 			if wk == 0 {
-				sysCfg.Workers = 1 // sequential drain below; width is unused
+				sysCfg.Workers = 1 // ProcessOne loop below; width is unused
 			}
 			if cfg.UseWAL {
 				sysCfg.QueueWAL = filepath.Join(tmp, fmt.Sprintf("queue-%d.wal", run))
@@ -122,12 +122,25 @@ func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 				label += fmt.Sprintf("/shards=%d", nshards)
 			}
 			start := time.Now()
-			var outs []*coordinator.Outcome
+			var outs int
 			var errs []error
+			emit := func(_ *coordinator.Outcome, err error) {
+				if err != nil {
+					errs = append(errs, err)
+					return
+				}
+				outs++
+			}
 			if wk == 0 {
-				outs, errs = sys.MC.Drain(0)
+				for {
+					out, ok, err := sys.MC.ProcessOne(ctx)
+					if !ok {
+						break
+					}
+					emit(out, err)
+				}
 			} else {
-				outs, errs = sys.ProcessConcurrent(ctx, 0)
+				sys.MC.DrainEach(ctx, 0, emit)
 			}
 			elapsed := time.Since(start).Seconds()
 			balance := sys.Store.Balance()
@@ -142,8 +155,8 @@ func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 			if closeErr != nil {
 				return fmt.Errorf("%s: closing system: %w", label, closeErr)
 			}
-			if len(outs) != n {
-				return fmt.Errorf("%s: drained %d of %d messages", label, len(outs), n)
+			if outs != n {
+				return fmt.Errorf("%s: drained %d of %d messages", label, outs, n)
 			}
 			if qstats.Acked != n || qstats.DeadLettered != 0 {
 				return fmt.Errorf("%s: queue health acked=%d dead=%d, want %d acked",

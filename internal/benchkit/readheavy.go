@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/gazetteer"
 	"repro/internal/tweetgen"
@@ -90,10 +91,13 @@ func ReadHeavy(ctx context.Context, cfg ReadHeavyConfig, w io.Writer) error {
 				return nil
 			}
 			pending = 0
-			if _, errs := sys.ProcessConcurrent(ctx, 0); len(errs) != 0 {
-				return fmt.Errorf("drain: %w", errs[0])
-			}
-			return nil
+			var first error
+			sys.MC.DrainEach(ctx, 0, func(_ *coordinator.Outcome, err error) {
+				if first == nil && err != nil {
+					first = fmt.Errorf("drain: %w", err)
+				}
+			})
+			return first
 		}
 		start := time.Now()
 		for _, m := range stream {

@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -16,48 +15,47 @@ import (
 // pipeline until the queue is empty, limit messages have been dispatched
 // (limit <= 0 means no limit), or ctx is cancelled:
 //
-//	dispatcher -> worker pool -> integration lanes
+//	caller (dispatch + emit) -> worker pool -> integration lanes
 //
-// A single dispatcher leases messages from the queue; the worker pool
+// The calling goroutine leases messages from the queue; the worker pool
 // (SetWorkers, default GOMAXPROCS) runs classification, extraction and
 // question answering in parallel; and one integration-lane goroutine per
 // Integrator lane folds the workers' templates into amortized database
 // batches (SetBatchSize), acknowledging each batch with one
 // group-committed queue operation. Workers route each message's template
-// group to its lane (Integrator.Route), so every store still sees all
-// its writes from a single goroutine — the probabilistic integration
-// path needs no cross-worker coordination — while lanes for different
-// shards commit batches and group-ack in parallel. With a one-lane
-// Integrator (SingleLane) this is exactly the single batching-integrator
-// pipeline; with shard.Integrator the pipeline's tail scales out with
-// the store.
+// group to its lane (Integrator.Route), so lanes for different shards
+// commit batches and group-ack in parallel. With a one-lane Integrator
+// (SingleLane) this is exactly the single batching-integrator pipeline;
+// with shard.Integrator the pipeline's tail scales out with the store.
 //
-// Results stream: emit is called once per finished message — (outcome,
-// nil) on success, (nil, err) on failure — as the pipeline completes it,
-// so a million-message drain never buffers every outcome in memory.
-// Calls to emit are serialised (never concurrent) but arrive in
-// completion order, not queue order. Failed messages are negatively
-// acknowledged for redelivery; after redelivery exhaustion they
-// dead-letter, matching Drain's semantics.
+// Every dispatched message comes back as exactly one completion on a
+// channel only the calling goroutine reads, and emit runs there — never
+// on a pipeline goroutine — once per finished message: (outcome, nil) on
+// success, (nil, err) on failure, in completion order, not queue order.
+// Results stream, so a million-message drain never buffers every outcome.
+// Failed messages are negatively acknowledged for redelivery and
+// dead-letter after the queue's attempt limit. The drain is over when the
+// queue is empty and none of this call's own messages is outstanding, so
+// any number of DrainEach calls may share a queue; they compete for
+// messages and each returns on its own.
+//
+// If emit panics the panic reaches the caller after the wind-down: no
+// lease is left stranded.
+//
+// Stored certainties are timing-dependent here (extraction reads the
+// source-trust model that integration writes); ProcessOne is the
+// deterministic reference.
 func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outcome, error)) {
-	sink := &drainSink{emit: emit}
 	jobs := make(chan mq.Message)
+	// A lane hands back a whole batch of completions without a rendezvous
+	// per message.
+	done := make(chan completion, c.batchSize)
 	// Each lane's buffer must fit a full batch on top of one in-flight
 	// job per worker, or the group commit could never amortize past the
 	// worker count.
 	lanes := make([]chan integrationJob, c.di.Lanes())
 	for i := range lanes {
 		lanes[i] = make(chan integrationJob, c.workers+c.batchSize)
-	}
-	// poke wakes the dispatcher after any ack/nack so it can re-check the
-	// queue; capacity 1 makes the send non-blocking while never losing the
-	// "state changed" edge.
-	poke := make(chan struct{}, 1)
-	notify := func() {
-		select {
-		case poke <- struct{}{}:
-		default:
-		}
 	}
 
 	var workersWG sync.WaitGroup
@@ -66,87 +64,83 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 		go func() {
 			defer workersWG.Done()
 			for m := range jobs {
-				c.workOne(ctx, m, sink, lanes, notify)
+				c.workOne(ctx, m, lanes, done)
 			}
 		}()
 	}
-
 	var lanesWG sync.WaitGroup
 	for i := range lanes {
 		lanesWG.Add(1)
 		go func(lane int, integ <-chan integrationJob) {
 			defer lanesWG.Done()
-			c.runIntegrator(ctx, lane, integ, sink, notify)
+			c.runIntegrator(ctx, lane, integ, done)
 		}(i, lanes[i])
 	}
 
-	dispatched := 0
-	for (limit <= 0 || dispatched < limit) && ctx.Err() == nil {
-		m, ok := c.queue.Dequeue()
-		if !ok {
-			// Empty queue: done only once nothing is in flight — a leased
-			// message may still be nacked back for redelivery.
-			if c.queue.InFlight() > 0 {
-				select {
-				case <-poke:
-				case <-ctx.Done():
-				}
-				continue
-			}
-			// A nack can land between the empty Dequeue and the InFlight
-			// check, moving a message back to pending; with nothing leased
-			// any such message is visible to one more Dequeue, so only an
-			// empty retry proves the drain is complete.
-			m, ok = c.queue.Dequeue()
-			if !ok {
-				break
-			}
+	var (
+		held        mq.Message // leased, not yet handed to a worker
+		holding     bool
+		outstanding int // handed to a worker, completion not yet received
+	)
+	// The wind-down, on every exit including a panic in emit: return the
+	// held lease, let messages already in the pipeline finish (outcomes
+	// discarded), then join the workers and lanes.
+	defer func() {
+		if holding {
+			_ = c.queue.Nack(held.ID)
 		}
-		c.signal(Signal{MessageID: m.ID, From: "MC", To: "IE", Step: StepClassify})
-		dispatched++
-		select {
-		case jobs <- m:
-		case <-ctx.Done():
-			_ = c.queue.Nack(m.ID)
+		close(jobs)
+		for ; outstanding > 0; outstanding-- {
+			<-done
 		}
-	}
-	close(jobs)
-	workersWG.Wait()
-	for _, integ := range lanes {
-		close(integ)
-	}
-	lanesWG.Wait()
-}
+		workersWG.Wait()
+		for _, integ := range lanes {
+			close(integ)
+		}
+		lanesWG.Wait()
+	}()
 
-// DrainConcurrent is DrainEach collecting the stream into slices —
-// outcomes in completion order — for callers whose drains fit in memory.
-func (c *Coordinator) DrainConcurrent(ctx context.Context, limit int) (outs []*Outcome, errs []error) {
-	c.DrainEach(ctx, limit, func(out *Outcome, err error) {
-		if err != nil {
-			errs = append(errs, err)
+	for dispatched := 0; ; {
+		if !holding && (limit <= 0 || dispatched < limit) && ctx.Err() == nil {
+			if held, holding = c.queue.Dequeue(); holding {
+				dispatched++
+				c.signal(Signal{MessageID: held.ID, From: "MC", To: "IE", Step: StepClassify})
+			}
+		}
+		// Nothing leased and nothing outstanding: every nack of ours
+		// happened before the Dequeue above, so the queue holds nothing
+		// more for this drain (or it may take no more).
+		if !holding && outstanding == 0 {
 			return
 		}
-		outs = append(outs, out)
-	})
-	return outs, errs
+		var send chan<- mq.Message
+		var cancelled <-chan struct{}
+		if holding {
+			send, cancelled = jobs, ctx.Done()
+		}
+		select {
+		case send <- held:
+			holding = false
+			outstanding++
+		case d := <-done:
+			outstanding--
+			if d.out != nil || d.err != nil {
+				emit(d.out, d.err)
+			}
+		case <-cancelled:
+			_ = c.queue.Nack(held.ID)
+			holding = false
+		}
+	}
 }
 
-// drainSink serialises a drain's result stream across pipeline goroutines.
-type drainSink struct {
-	mu   sync.Mutex
-	emit func(*Outcome, error)
-}
-
-func (s *drainSink) addOut(out *Outcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.emit(out, nil)
-}
-
-func (s *drainSink) addErr(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.emit(nil, err)
+// completion is the one message every dispatched message sends back to
+// the draining goroutine once its lease is settled: an outcome (acked),
+// an error (nacked), or the zero value for a lease returned without
+// anything to report.
+type completion struct {
+	out *Outcome
+	err error
 }
 
 // integrationJob is one message handed from a worker to an integration
@@ -165,7 +159,7 @@ type integrationJob struct {
 // Messages with no templates (requests) only need an acknowledgement;
 // they spread across lanes by message ID so no single lane becomes the
 // ack bottleneck.
-func (c *Coordinator) workOne(ctx context.Context, m mq.Message, sink *drainSink, lanes []chan integrationJob, notify func()) {
+func (c *Coordinator) workOne(ctx context.Context, m mq.Message, lanes []chan integrationJob, done chan<- completion) {
 	if m.Trace != "" {
 		ctx = obs.WithTrace(ctx, m.Trace)
 	}
@@ -178,10 +172,7 @@ func (c *Coordinator) workOne(ctx context.Context, m mq.Message, sink *drainSink
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		_ = c.queue.Nack(m.ID)
-		messagesErr.Inc()
-		sink.addErr(fmt.Errorf("coordinator: message %d: %w", m.ID, err))
-		notify()
+		done <- completion{err: c.fail(m.ID, err)}
 		return
 	}
 	lane := 0
@@ -197,7 +188,7 @@ func (c *Coordinator) workOne(ctx context.Context, m mq.Message, sink *drainSink
 // greedily collects the lane's pending jobs up to the batch cap,
 // integrates each batch under one acquisition of the lane's store lock,
 // and acknowledges the batch's messages with one group-committed ack.
-func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan integrationJob, sink *drainSink, notify func()) {
+func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan integrationJob, done chan<- completion) {
 	for {
 		job, ok := <-integ
 		if !ok {
@@ -216,12 +207,11 @@ func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan 
 				break collect
 			}
 		}
-		c.flushBatch(ctx, lane, batch, sink)
-		notify()
+		c.flushBatch(ctx, lane, batch, done)
 	}
 }
 
-func (c *Coordinator) flushBatch(ctx context.Context, lane int, batch []integrationJob, sink *drainSink) {
+func (c *Coordinator) flushBatch(ctx context.Context, lane int, batch []integrationJob, done chan<- completion) {
 	_, sp := obs.StartSpan(ctx, spanIntegrateBatch)
 	sp.SetInt("lane", lane)
 	sp.SetInt("messages", len(batch))
@@ -239,35 +229,33 @@ func (c *Coordinator) flushBatch(ctx context.Context, lane int, batch []integrat
 	completed := make([]integrationJob, 0, len(batch))
 	for i, job := range batch {
 		if err := foldGroup(job.out, results[i]); err != nil {
-			_ = c.queue.Nack(job.msg.ID)
-			messagesErr.Inc()
-			sink.addErr(fmt.Errorf("coordinator: message %d: %w", job.msg.ID, err))
+			done <- completion{err: c.fail(job.msg.ID, err)}
 			continue
 		}
 		ackIDs = append(ackIDs, job.msg.ID)
 		completed = append(completed, job)
 	}
-	if len(ackIDs) > 0 {
-		acked, err := c.queue.AckBatch(ackIDs)
-		if err != nil {
-			sink.addErr(err)
+	if len(ackIDs) == 0 {
+		return
+	}
+	acked, ackErr := c.queue.AckBatch(ackIDs)
+	// Record outcomes only for messages the group commit really
+	// acknowledged; the rest go back for redelivery (a WAL failure acks
+	// nothing) or expired mid-flight and will be redelivered anyway. The
+	// commit's error rides on the first of them, the others complete
+	// silently: one report per failed commit, one completion per message.
+	ackedSet := make(map[int64]bool, len(acked))
+	for _, id := range acked {
+		ackedSet[id] = true
+	}
+	for _, job := range completed {
+		if ackedSet[job.msg.ID] {
+			c.finish(job.msg, job.out)
+			done <- completion{out: job.out}
+			continue
 		}
-		// Record outcomes only for messages the group commit really
-		// acknowledged; the rest go back for redelivery (a WAL failure
-		// acks nothing) or expired mid-flight and will be redelivered
-		// anyway — nacking the leftovers instead of stranding their
-		// leases keeps the dispatcher from waiting forever.
-		ackedSet := make(map[int64]bool, len(acked))
-		for _, id := range acked {
-			ackedSet[id] = true
-		}
-		for i, id := range ackIDs {
-			if ackedSet[id] {
-				c.finish(completed[i].msg, completed[i].out)
-				sink.addOut(completed[i].out)
-			} else {
-				_ = c.queue.Nack(id)
-			}
-		}
+		_ = c.queue.Nack(job.msg.ID)
+		done <- completion{err: ackErr}
+		ackErr = nil
 	}
 }

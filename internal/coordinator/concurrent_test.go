@@ -12,7 +12,7 @@ import (
 	"repro/internal/mq"
 )
 
-// DrainConcurrent must process every queued message exactly once: same
+// DrainEach must process every queued message exactly once: same
 // outcome count as the sequential path, queue fully drained, no duplicate
 // message IDs among the outcomes. Run with -race.
 func TestDrainConcurrentExactlyOnce(t *testing.T) {
@@ -31,7 +31,7 @@ func TestDrainConcurrentExactlyOnce(t *testing.T) {
 		}
 	}
 
-	outs, errs := c.DrainConcurrent(context.Background(), 0)
+	outs, errs := drainEach(context.Background(), c, 0)
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -62,7 +62,7 @@ func TestDrainConcurrentLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, errs := c.DrainConcurrent(context.Background(), 4)
+	outs, errs := drainEach(context.Background(), c, 4)
 	if len(outs)+len(errs) != 4 {
 		t.Fatalf("limit 4: %d outs, %d errs", len(outs), len(errs))
 	}
@@ -89,7 +89,7 @@ func TestDrainConcurrentErrorsDeadLetter(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "can anyone recommend a good hotel in Berlin?", "y"); err != nil {
 		t.Fatal(err)
 	}
-	outs, errs := c.DrainConcurrent(context.Background(), 0)
+	outs, errs := drainEach(context.Background(), c, 0)
 	if len(outs) != 1 {
 		t.Fatalf("outs = %d, want 1 (the request)", len(outs))
 	}
@@ -104,7 +104,7 @@ func TestDrainConcurrentErrorsDeadLetter(t *testing.T) {
 	}
 }
 
-// Submit and DrainConcurrent hammered from many goroutines at once: the
+// Submit and DrainEach hammered from many goroutines at once: the
 // drain must absorb concurrent producers without losing or duplicating
 // messages. Run with -race.
 func TestSubmitDuringDrainConcurrent(t *testing.T) {
@@ -147,13 +147,13 @@ func TestSubmitDuringDrainConcurrent(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		o, e := c.DrainConcurrent(context.Background(), 0)
+		o, e := drainEach(context.Background(), c, 0)
 		outs = append(outs, o...)
 		errs = append(errs, e...)
 		select {
 		case <-done:
 			if c.Queue().Len() == 0 {
-				o, e = c.DrainConcurrent(context.Background(), 0)
+				o, e = drainEach(context.Background(), c, 0)
 				outs = append(outs, o...)
 				errs = append(errs, e...)
 				goto finished
@@ -178,7 +178,7 @@ finished:
 	}
 }
 
-// DrainConcurrent honours context cancellation: it stops dispatching and
+// DrainEach honours context cancellation: it stops dispatching and
 // returns without leaking leases forever (nacked messages return to the
 // queue).
 func TestDrainConcurrentCancel(t *testing.T) {
@@ -191,7 +191,7 @@ func TestDrainConcurrentCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, errs := c.DrainConcurrent(ctx, 0)
+	outs, errs := drainEach(ctx, c, 0)
 	if len(outs)+len(errs)+c.Queue().Len()+c.Queue().InFlight() < 10 {
 		t.Fatalf("messages lost after cancel: outs=%d errs=%d pending=%d inflight=%d",
 			len(outs), len(errs), c.Queue().Len(), c.Queue().InFlight())
@@ -222,13 +222,13 @@ func TestDrainConcurrentAckFailureTerminates(t *testing.T) {
 	var outs []*Outcome
 	var errs []error
 	go func() {
-		outs, errs = c.DrainConcurrent(context.Background(), 0)
+		outs, errs = drainEach(context.Background(), c, 0)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("DrainConcurrent wedged after ack failure")
+		t.Fatal("DrainEach wedged after ack failure")
 	}
 	if len(errs) == 0 {
 		t.Fatal("ack failure not reported")
@@ -241,6 +241,36 @@ func TestDrainConcurrentAckFailureTerminates(t *testing.T) {
 	}
 	if q.Len() != 0 || q.InFlight() != 0 {
 		t.Fatalf("queue not settled: pending=%d inflight=%d", q.Len(), q.InFlight())
+	}
+}
+
+// emit runs on DrainEach's calling goroutine, so a consumer that panics
+// is recoverable there, and the wind-down still settles every lease.
+func TestDrainEachEmitPanicReachesCaller(t *testing.T) {
+	c, _ := newCoordinator(t)
+	c.SetWorkers(4)
+	const total = 40
+	for i := 0; i < total; i++ {
+		if _, err := c.Submit(context.Background(), "stay at the Axel Hotel in Berlin", "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		c.DrainEach(context.Background(), 0, func(*Outcome, error) { panic("consumer bug") })
+	}()
+	if recovered != "consumer bug" {
+		t.Fatalf("recovered %v, want the consumer's panic", recovered)
+	}
+	if n := c.Queue().InFlight(); n != 0 {
+		t.Fatalf("in flight after panicking consumer = %d, want 0", n)
+	}
+	// Nothing was lost: the next drain finishes whatever the first left.
+	st := c.Queue().Stats()
+	outs, errs := drainEach(context.Background(), c, 0)
+	if len(errs) != 0 || st.Acked+len(outs) != total {
+		t.Fatalf("acked %d + redrained %d (errs %v), want %d", st.Acked, len(outs), errs, total)
 	}
 }
 

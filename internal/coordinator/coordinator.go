@@ -114,10 +114,10 @@ func (e *NotAQuestionError) Error() string {
 // independent lanes, each owning one store. The single-store system has
 // one lane (SingleLane); a sharded system has one lane per shard
 // (shard.Integrator). The coordinator serialises IntegrateGroups calls
-// per lane — in the concurrent pipeline by running exactly one goroutine
-// per lane — so implementations never see concurrent writes to the same
-// lane, preserving the single-writer probabilistic merge path while
-// distinct lanes commit in parallel.
+// per lane within one drain (DrainEach runs exactly one goroutine per
+// lane); calls from concurrent drains, or from ProcessOne beside a drain,
+// are serialised by the lane's own store lock. Distinct lanes commit in
+// parallel.
 type Integrator interface {
 	// Lanes is the number of independent integration lanes.
 	Lanes() int
@@ -159,19 +159,16 @@ type Coordinator struct {
 	// maxSignals bounds the in-memory signal log.
 	maxSignals int
 
-	// workers is the concurrency of DrainConcurrent (default GOMAXPROCS).
+	// workers is the width of DrainEach's worker pool (default GOMAXPROCS).
 	workers int
 	// batchSize caps how many integration jobs the batching stage folds
 	// into one amortized database batch (default 16).
 	batchSize int
-
-	// log receives per-message structured lines: outcomes at debug, slow
-	// transits at warn. Defaults to slog.Default().
-	log *slog.Logger
-	// slowThreshold is the pipeline-transit duration past which a
-	// message's completion logs at warn (default 5s; <= 0 disables).
-	slowThreshold time.Duration
 }
+
+// slowTransit is the enqueue→acknowledged duration past which a
+// message's completion logs at warn instead of debug.
+const slowTransit = 5 * time.Second
 
 // New wires a coordinator around an Integrator — SingleLane for the
 // single-store system, shard.NewIntegrator for a sharded one. A nil
@@ -187,39 +184,22 @@ func New(queue *mq.Queue, ie *extract.Service, di Integrator, ans *qa.Service, r
 		rules = DefaultRules()
 	}
 	return &Coordinator{
-		queue:         queue,
-		ie:            ie,
-		di:            di,
-		qa:            ans,
-		rules:         rules,
-		clock:         time.Now,
-		maxSignals:    10000,
-		workers:       runtime.GOMAXPROCS(0),
-		batchSize:     16,
-		log:           slog.Default(),
-		slowThreshold: 5 * time.Second,
+		queue:      queue,
+		ie:         ie,
+		di:         di,
+		qa:         ans,
+		rules:      rules,
+		clock:      time.Now,
+		maxSignals: 10000,
+		workers:    runtime.GOMAXPROCS(0),
+		batchSize:  16,
 	}, nil
 }
 
 // SetClock overrides the time source (tests).
 func (c *Coordinator) SetClock(clock func() time.Time) { c.clock = clock }
 
-// SetLogger replaces the structured logger for per-message outcome and
-// slow-transit lines (nil restores slog.Default()). Not safe to call
-// while a drain is running.
-func (c *Coordinator) SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = slog.Default()
-	}
-	c.log = l
-}
-
-// SetSlowThreshold sets the pipeline-transit duration past which a
-// message's completion is logged at warn; d <= 0 disables the slow log.
-// Not safe to call while a drain is running.
-func (c *Coordinator) SetSlowThreshold(d time.Duration) { c.slowThreshold = d }
-
-// SetWorkers sets the DrainConcurrent worker-pool size; n <= 0 restores
+// SetWorkers sets the DrainEach worker-pool size; n <= 0 restores
 // the default (GOMAXPROCS). Not safe to call while a drain is running.
 func (c *Coordinator) SetWorkers(n int) {
 	if n <= 0 {
@@ -252,18 +232,21 @@ func (c *Coordinator) Submit(ctx context.Context, body, source string) (int64, e
 	return id, nil
 }
 
-// ProcessOne handles the next queued message through its workflow. ok is
-// false when the queue is empty. Failed messages are negatively
-// acknowledged for redelivery; after the queue's attempt limit they land
-// in its dead-letter list.
-func (c *Coordinator) ProcessOne() (*Outcome, bool, error) {
+// ProcessOne handles the next queued message through its workflow, inline
+// on the calling goroutine. ok is false when the queue is empty. Failed
+// messages are negatively acknowledged for redelivery; after the queue's
+// attempt limit they land in its dead-letter list.
+//
+// ProcessOne is the deterministic reference engine: each message is
+// extracted against exactly the trust model its predecessors' integration
+// left behind, so looping it over one history always stores the same
+// bytes. DrainEach is the throughput engine and is compared against it.
+func (c *Coordinator) ProcessOne(ctx context.Context) (*Outcome, bool, error) {
 	m, ok := c.queue.Dequeue()
 	if !ok {
 		return nil, false, nil
 	}
 	c.signal(Signal{MessageID: m.ID, From: "MC", To: "IE", Step: StepClassify})
-	//lint:ignore ctxflow ProcessOne predates ctx plumbing; the span root is per-message, not cancellable work
-	ctx := context.Background()
 	if m.Trace != "" {
 		ctx = obs.WithTrace(ctx, m.Trace)
 	}
@@ -273,9 +256,7 @@ func (c *Coordinator) ProcessOne() (*Outcome, bool, error) {
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		_ = c.queue.Nack(m.ID)
-		messagesErr.Inc()
-		return nil, true, fmt.Errorf("coordinator: message %d: %w", m.ID, err)
+		return nil, true, c.fail(m.ID, err)
 	}
 	if err := c.queue.Ack(m.ID); err != nil {
 		return nil, true, err
@@ -284,22 +265,29 @@ func (c *Coordinator) ProcessOne() (*Outcome, bool, error) {
 	return out, true, nil
 }
 
+// fail returns a message whose workflow errored to the queue for
+// redelivery and wraps the error with its ID, in both engines.
+func (c *Coordinator) fail(id int64, err error) error {
+	_ = c.queue.Nack(id)
+	messagesErr.Inc()
+	return fmt.Errorf("coordinator: message %d: %w", id, err)
+}
+
 // finish records a message's pipeline exit: the enqueue→acknowledged
 // transit histogram, the ok counter, a debug outcome line, and the warn
-// slow line when transit exceeded the threshold. Called after the
-// acknowledgement succeeds, on both the sequential and concurrent
-// paths.
+// slow line when transit exceeded slowTransit. Called after the
+// acknowledgement succeeds, by both engines.
 func (c *Coordinator) finish(m mq.Message, out *Outcome) {
 	transit := c.clock().Sub(m.Received)
 	mTransitSeconds.Observe(transit.Seconds())
 	messagesOK.Inc()
-	if c.slowThreshold > 0 && transit > c.slowThreshold {
-		c.log.Warn("slow message transit",
+	if transit > slowTransit {
+		slog.Warn("slow message transit",
 			"trace", m.Trace, "msg_id", m.ID, "type", out.Type,
-			"transit", transit, "threshold", c.slowThreshold)
+			"transit", transit, "threshold", slowTransit)
 		return
 	}
-	c.log.Debug("message processed",
+	slog.Debug("message processed",
 		"trace", m.Trace, "msg_id", m.ID, "type", out.Type,
 		"inserted", out.Inserted, "merged", out.Merged, "transit", transit)
 }
@@ -343,7 +331,7 @@ func (c *Coordinator) AskDirect(ctx context.Context, body, source string) (*qa.A
 		return nil, err
 	}
 	if trace := obs.Trace(ctx); trace != "" {
-		c.log.Debug("ask answered", "trace", trace, "results", len(ans.Results))
+		slog.Debug("ask answered", "trace", trace, "results", len(ans.Results))
 	}
 	return &ans, nil
 }
@@ -458,25 +446,6 @@ func foldGroup(out *Outcome, results []integrate.BatchResult) error {
 		}
 	}
 	return nil
-}
-
-// Drain processes queued messages until the queue is empty or limit
-// messages have been handled (limit <= 0 means no limit). It returns the
-// outcomes; messages that errored are skipped after redelivery exhaustion
-// and reported in errs.
-func (c *Coordinator) Drain(limit int) (outs []*Outcome, errs []error) {
-	for limit <= 0 || len(outs)+len(errs) < limit {
-		out, ok, err := c.ProcessOne()
-		if !ok {
-			break
-		}
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		outs = append(outs, out)
-	}
-	return outs, errs
 }
 
 func (c *Coordinator) signal(s Signal) {

@@ -69,13 +69,25 @@ func newCoordinatorServices(t *testing.T, q *mq.Queue) (*Coordinator, *xmldb.DB)
 	return c, db
 }
 
+// drainEach collects one DrainEach stream, in completion order.
+func drainEach(ctx context.Context, c *Coordinator, limit int) (outs []*Outcome, errs []error) {
+	c.DrainEach(ctx, limit, func(out *Outcome, err error) {
+		if err != nil {
+			errs = append(errs, err)
+			return
+		}
+		outs = append(outs, out)
+	})
+	return outs, errs
+}
+
 func TestWorkflowInformative(t *testing.T) {
 	c, db := newCoordinator(t)
 	id, err := c.Submit(context.Background(), "loved the Axel Hotel in Berlin, great stay", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok, err := c.ProcessOne()
+	out, ok, err := c.ProcessOne(context.Background())
 	if err != nil || !ok {
 		t.Fatalf("ProcessOne = %v, %v", ok, err)
 	}
@@ -114,9 +126,18 @@ func TestWorkflowRequest(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "can anyone recommend a good hotel in Berlin?", "bob"); err != nil {
 		t.Fatal(err)
 	}
-	outs, errs := c.Drain(0)
-	if len(errs) != 0 {
-		t.Fatalf("errors: %v", errs)
+	// In queue order through the reference engine: the request must see
+	// the report integrated.
+	var outs []*Outcome
+	for {
+		out, ok, err := c.ProcessOne(context.Background())
+		if !ok {
+			break
+		}
+		if err != nil {
+			t.Fatalf("ProcessOne: %v", err)
+		}
+		outs = append(outs, out)
 	}
 	if len(outs) != 2 {
 		t.Fatalf("outcomes = %d", len(outs))
@@ -139,7 +160,7 @@ func TestWorkflowRequest(t *testing.T) {
 
 func TestProcessOneEmptyQueue(t *testing.T) {
 	c, _ := newCoordinator(t)
-	if _, ok, err := c.ProcessOne(); ok || err != nil {
+	if _, ok, err := c.ProcessOne(context.Background()); ok || err != nil {
 		t.Errorf("empty queue: ok=%v err=%v", ok, err)
 	}
 }
@@ -151,7 +172,7 @@ func TestDrainLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, errs := c.Drain(2)
+	outs, errs := drainEach(context.Background(), c, 2)
 	if len(outs) != 2 || len(errs) != 0 {
 		t.Fatalf("drain(2) = %d outs, %d errs", len(outs), len(errs))
 	}
@@ -165,7 +186,7 @@ func TestMessageTagging(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "is the road to Nairobi open?", "driver"); err != nil {
 		t.Fatal(err)
 	}
-	out, ok, err := c.ProcessOne()
+	out, ok, err := c.ProcessOne(context.Background())
 	if err != nil || !ok {
 		t.Fatalf("ProcessOne: %v %v", ok, err)
 	}
@@ -189,7 +210,7 @@ func TestCustomRulesUnknownStep(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "lovely Axel Hotel in Berlin", "x"); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := c.ProcessOne()
+	_, ok, err := c.ProcessOne(context.Background())
 	if !ok {
 		t.Fatal("message not processed")
 	}

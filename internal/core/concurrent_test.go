@@ -44,8 +44,8 @@ func TestProcessConcurrentMatchesSequential(t *testing.T) {
 		}
 	}
 
-	seqOuts, seqErrs := seq.Process(context.Background(), 0)
-	concOuts, concErrs := conc.ProcessConcurrent(context.Background(), 0)
+	seqOuts, seqErrs := drainSequential(seq)
+	concOuts, concErrs := drainPipeline(conc)
 	if len(seqErrs) != 0 || len(concErrs) != 0 {
 		t.Fatalf("errors: seq=%v conc=%v", seqErrs, concErrs)
 	}

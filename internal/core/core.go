@@ -74,11 +74,11 @@ type Config struct {
 	// CheckpointRetain keeps this many checkpoint files after each
 	// write (default 3).
 	CheckpointRetain int
-	// Workers sets the concurrency of the coordinator's stream-processing
-	// pipeline: Process and ProcessConcurrent run classification and
-	// extraction on this many goroutines while per-shard integration
-	// lanes serialize database writes. 0 defaults to GOMAXPROCS; 1 keeps
-	// the pipeline but with a single extraction worker.
+	// Workers sets the width of the coordinator's drain pipeline
+	// (MC.DrainEach): classification and extraction run on this many
+	// goroutines while per-shard integration lanes serialize database
+	// writes. 0 defaults to GOMAXPROCS. It does not affect MC.ProcessOne,
+	// the inline reference engine behind Ingest.
 	Workers int
 	// Shards partitions the probabilistic spatial XML database into this
 	// many independently locked shards, routed spatially (gazetteer-grid
@@ -86,9 +86,6 @@ type Config struct {
 	// fallback), with one pipeline integration lane per shard. 0 or 1
 	// keeps today's single-store behavior.
 	Shards int
-	// ShardRouter overrides record placement (default: shard.NewGridRouter
-	// over Shards shards). Ignored when Shards <= 1.
-	ShardRouter shard.Router
 	// IntegrateBatch caps how many messages a pipeline integration lane
 	// folds into one amortized database batch (default 16).
 	IntegrateBatch int
@@ -163,8 +160,6 @@ type System struct {
 	// tracing is off (Config.TraceRecorder == 0).
 	Recorder *obs.Recorder
 	clock    func() time.Time
-	// workers is the configured pipeline width (0 = GOMAXPROCS).
-	workers int
 	// ckptInterval is the configured checkpoint cadence the serving
 	// layer reads.
 	ckptInterval time.Duration
@@ -214,11 +209,7 @@ func New(cfg Config) (*System, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	router := cfg.ShardRouter
-	if shards <= 1 {
-		router = nil
-	}
-	s.Store, err = shard.New(shards, router)
+	s.Store, err = shard.New(shards, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: building sharded store: %w", err)
 	}
@@ -364,7 +355,6 @@ func New(cfg Config) (*System, error) {
 	}
 	s.MC.SetWorkers(cfg.Workers)
 	s.MC.SetBatchSize(cfg.IntegrateBatch)
-	s.workers = cfg.Workers
 	if cfg.Clock != nil {
 		s.MC.SetClock(cfg.Clock)
 	}
@@ -412,46 +402,16 @@ func (s *System) Submit(ctx context.Context, body, source string) (int64, error)
 	return s.MC.Submit(ctx, body, source)
 }
 
-// Process drains the queue (up to limit messages; 0 = all) and returns the
-// outcomes. When Workers was explicitly configured above 1 it runs the
-// concurrent pipeline (outcomes in completion order, stopping early if
-// ctx is cancelled); otherwise it keeps the deterministic sequential
-// drain in queue order, so existing callers' ordering does not silently
-// become machine-dependent. Use ProcessConcurrent to opt in regardless
-// of configuration.
-func (s *System) Process(ctx context.Context, limit int) ([]*coordinator.Outcome, []error) {
-	if s.workers > 1 {
-		return s.MC.DrainConcurrent(ctx, limit)
-	}
-	return s.MC.Drain(limit)
-}
-
-// ProcessConcurrent drains the queue through the coordinator's concurrent
-// worker-pool pipeline (width Workers, default GOMAXPROCS) into one
-// integration lane per shard, stopping early when ctx is cancelled.
-// Outcomes arrive in completion order.
-func (s *System) ProcessConcurrent(ctx context.Context, limit int) ([]*coordinator.Outcome, []error) {
-	return s.MC.DrainConcurrent(ctx, limit)
-}
-
-// ProcessEach drains the queue through the concurrent pipeline, streaming
-// each outcome or error to emit as it completes instead of buffering the
-// whole drain — the facade's iterator and the serving layer's drain loop
-// sit on this. Calls to emit are serialised.
-func (s *System) ProcessEach(ctx context.Context, limit int, emit func(*coordinator.Outcome, error)) {
-	s.MC.DrainEach(ctx, limit, emit)
-}
-
 // Ingest submits and fully processes one informative message, returning
-// its outcome. It processes the queue's next message — its own
-// submission only while no concurrent drain is leasing messages; serving
-// deployments use Submit + a drain for contributions and Ask for
-// questions.
+// its outcome. It runs the queue's next message through MC.ProcessOne —
+// its own submission only while no concurrent drain is leasing messages;
+// serving deployments use Submit + MC.DrainEach for contributions and Ask
+// for questions.
 func (s *System) Ingest(ctx context.Context, body, source string) (*coordinator.Outcome, error) {
 	if _, err := s.Submit(ctx, body, source); err != nil {
 		return nil, err
 	}
-	out, ok, err := s.MC.ProcessOne()
+	out, ok, err := s.MC.ProcessOne(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -724,9 +684,7 @@ func (s *System) Snapshot(w io.Writer) error {
 }
 
 // Restore replaces the database contents and learned state with a
-// snapshot produced by Snapshot (a legacy bare store snapshot is also
-// accepted; it resets the learned state, which such images never
-// carried). On error the database is unchanged.
+// snapshot produced by Snapshot. On error the database is unchanged.
 func (s *System) Restore(r io.Reader) error {
 	return s.image().Restore(r)
 }

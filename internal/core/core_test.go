@@ -18,6 +18,36 @@ import (
 
 var t0 = time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
 
+// drainSequential drains the queue through the deterministic reference
+// engine — MC.ProcessOne in queue order. Every differential test that
+// needs byte-equal stores drains through it: the pipeline's stored
+// certainties depend on how extraction and integration interleave.
+func drainSequential(s *System) (outs []*coordinator.Outcome, errs []error) {
+	for {
+		out, ok, err := s.MC.ProcessOne(context.Background())
+		switch {
+		case !ok:
+			return outs, errs
+		case err != nil:
+			errs = append(errs, err)
+		default:
+			outs = append(outs, out)
+		}
+	}
+}
+
+// drainPipeline collects one MC.DrainEach stream, in completion order.
+func drainPipeline(s *System) (outs []*coordinator.Outcome, errs []error) {
+	s.MC.DrainEach(context.Background(), 0, func(out *coordinator.Outcome, err error) {
+		if err != nil {
+			errs = append(errs, err)
+			return
+		}
+		outs = append(outs, out)
+	})
+	return outs, errs
+}
+
 func newSystem(t *testing.T) *System {
 	t.Helper()
 	s, err := New(Config{
@@ -105,7 +135,7 @@ func TestSubmitProcessBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, errs := s.Process(context.Background(), 0)
+	outs, errs := drainSequential(s)
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -172,7 +202,7 @@ func TestQueueWALPersistence(t *testing.T) {
 	if s2.Queue.Len() != 1 {
 		t.Fatalf("recovered queue len = %d", s2.Queue.Len())
 	}
-	outs, errs := s2.Process(context.Background(), 0)
+	outs, errs := drainSequential(s2)
 	if len(errs) != 0 || len(outs) != 1 {
 		t.Fatalf("recovered processing: %d outs, %v", len(outs), errs)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/feedback"
+	"repro/internal/shard"
 	"repro/internal/xmldb"
 )
 
@@ -64,10 +66,10 @@ func TestShardedFeedbackMatchesSingleStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, errs := single.Process(context.Background(), 0); len(errs) != 0 {
+	if _, errs := drainSequential(single); len(errs) != 0 {
 		t.Fatalf("single drain errors: %v", errs)
 	}
-	if _, errs := sharded.Process(context.Background(), 0); len(errs) != 0 {
+	if _, errs := drainSequential(sharded); len(errs) != 0 {
 		t.Fatalf("sharded drain errors: %v", errs)
 	}
 
@@ -209,19 +211,6 @@ func TestLearnedStateSurvivesRestart(t *testing.T) {
 	if n := restarted.FlushFeedback(); n != 0 {
 		t.Errorf("restart re-applied %d verdicts covered by the checkpoint", n)
 	}
-
-	// The legacy (bare store) snapshot path still restores — and resets
-	// the learned state those images never carried.
-	var legacy strings.Builder
-	if err := restarted.Store.Snapshot(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := restarted.Restore(strings.NewReader(legacy.String())); err != nil {
-		t.Fatalf("legacy snapshot restore: %v", err)
-	}
-	if got := restarted.KB.Trust().Report(); len(got) != 0 {
-		t.Errorf("legacy restore kept learned trust: %+v", got)
-	}
 }
 
 // TestRestoreRejectsCorruptAuxAtomically: a composite image whose store
@@ -256,16 +245,16 @@ func TestRestoreRejectsCorruptAuxAtomically(t *testing.T) {
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatal(err)
 	}
-	storeSec, err := readSection(br)
+	storeSec, err := shard.ReadSection(br)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bad bytes.Buffer
 	fmt.Fprintf(&bad, "%s\n", imageMagic)
-	if err := writeSection(&bad, storeSec); err != nil {
+	if err := shard.WriteSection(&bad, storeSec); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSection(&bad, []byte(`{"trust":{"prior":1.5,"weight":1}}`)); err != nil {
+	if err := shard.WriteSection(&bad, []byte(`{"trust":{"prior":1.5,"weight":1}}`)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -282,5 +271,72 @@ func TestRestoreRejectsCorruptAuxAtomically(t *testing.T) {
 	}
 	if got := target.KB.Trust().Report(); !reflect.DeepEqual(got, wantTrust) {
 		t.Errorf("failed restore changed the trust model: %+v", got)
+	}
+}
+
+// TestRestoreTornImageIsAnError: an image cut off right after a section's
+// length prefix must be refused, whatever the prefix claims — Restore
+// used to allocate the claimed length and panic (makeslice: len out of
+// range) on this 24-byte input.
+func TestRestoreTornImageIsAnError(t *testing.T) {
+	sys, err := New(Config{GazetteerNames: 300, GazetteerSeed: 2011, Clock: func() time.Time { return t0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.Ingest(context.Background(), "wonderful stay at the Axel Hotel in Berlin", "alice"); err != nil {
+		t.Fatal(err)
+	}
+	torn := imageMagic + "\n" + strings.Repeat("\xff", 8)
+	if err := sys.Restore(strings.NewReader(torn)); err == nil {
+		t.Fatal("torn image restored without error")
+	}
+	if got := sys.Store.Len("Hotels"); got != 1 {
+		t.Errorf("refused restore changed the store: %d records, want 1", got)
+	}
+}
+
+// TestBootFallsBackPastTornCheckpoint: on the manifest-less boot scan
+// (nothing verifies size or CRC first) a torn newest checkpoint is
+// skipped and the older valid image restores, instead of the length
+// prefix crashing the process.
+func TestBootFallsBackPastTornCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{GazetteerNames: 300, GazetteerSeed: 2011, DataDir: dir, Clock: func() time.Time { return t0 }}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Ingest(context.Background(), "wonderful stay at the Axel Hotel in Berlin", "alice"); err != nil {
+		t.Fatal(err)
+	}
+	good, err := sys.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A newer checkpoint torn inside its store section, and no manifest
+	// to vouch for either file.
+	torn := fmt.Sprintf("neogeo-checkpoint v1 seq=%d lsn=0\n%s\n%s", good.Seq+1, imageMagic, strings.Repeat("\xff", 8))
+	name := fmt.Sprintf("checkpoint-%016d.ckpt", good.Seq+1)
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := New(cfg)
+	if err != nil {
+		t.Fatalf("boot with a torn newest checkpoint: %v", err)
+	}
+	defer restarted.Close()
+	if got := restarted.Store.Len("Hotels"); got != 1 {
+		t.Errorf("restored %d records, want 1 from the older image", got)
+	}
+	if st := restarted.CheckpointStats(); st.LastSeq != good.Seq {
+		t.Errorf("adopted checkpoint seq %d, want %d", st.LastSeq, good.Seq)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -83,7 +82,7 @@ func (im image) write(w io.Writer, appliedSeq int64, done []int64) error {
 	if err := im.store.Snapshot(&buf); err != nil {
 		return err
 	}
-	if err := writeSection(w, buf.Bytes()); err != nil {
+	if err := shard.WriteSection(w, buf.Bytes()); err != nil {
 		return fmt.Errorf("core: image store section: %w", err)
 	}
 	aux := auxState{
@@ -96,18 +95,14 @@ func (im image) write(w io.Writer, appliedSeq int64, done []int64) error {
 	if err != nil {
 		return fmt.Errorf("core: image aux section: %w", err)
 	}
-	if err := writeSection(w, data); err != nil {
+	if err := shard.WriteSection(w, data); err != nil {
 		return fmt.Errorf("core: image aux section: %w", err)
 	}
 	return nil
 }
 
-// Restore replaces the store and the learned state from an image. A
-// stream that does not start with the composite header is treated as a
-// legacy bare store snapshot: the store restores from it and the
-// learned state resets to defaults (exactly what those older images
-// meant). The store section is fully validated before any live state is
-// touched.
+// Restore replaces the store and the learned state from an image. Both
+// sections are fully validated before any live state is touched.
 func (im image) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
@@ -115,25 +110,13 @@ func (im image) Restore(r io.Reader) error {
 		return fmt.Errorf("core: image header: %w", err)
 	}
 	if strings.TrimSuffix(header, "\n") != imageMagic {
-		// Legacy bare store snapshot (sharded or single-db): no learned
-		// state was recorded, so it resets along with the store contents.
-		if err := im.store.Restore(io.MultiReader(strings.NewReader(header), br)); err != nil {
-			return err
-		}
-		if err := im.trust.ImportState(uncertain.TrustState{}); err != nil {
-			return err
-		}
-		if err := im.priors.ImportState(nil); err != nil {
-			return err
-		}
-		im.adoptSeq(0, nil)
-		return nil
+		return fmt.Errorf("core: not a system image (header %q)", strings.TrimSpace(header))
 	}
-	storeSec, err := readSection(br)
+	storeSec, err := shard.ReadSection(br)
 	if err != nil {
 		return fmt.Errorf("core: image store section: %w", err)
 	}
-	auxSec, err := readSection(br)
+	auxSec, err := shard.ReadSection(br)
 	if err != nil {
 		return fmt.Errorf("core: image aux section: %w", err)
 	}
@@ -175,24 +158,4 @@ func (im image) adoptSeq(seq int64, done []int64) {
 	if im.eng != nil {
 		im.eng.AdoptApplied(seq, done)
 	}
-}
-
-func writeSection(w io.Writer, data []byte) error {
-	if err := binary.Write(w, binary.BigEndian, uint64(len(data))); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-func readSection(r io.Reader) ([]byte, error) {
-	var n uint64
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return nil, err
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }

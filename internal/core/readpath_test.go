@@ -62,7 +62,7 @@ func TestCachedAskMatchesUncached(t *testing.T) {
 			}
 		}
 		for _, s := range []*System{plain, cached} {
-			if _, errs := s.Process(context.Background(), 0); len(errs) != 0 {
+			if _, errs := drainSequential(s); len(errs) != 0 {
 				t.Fatalf("drain errors: %v", errs)
 			}
 		}
@@ -348,7 +348,7 @@ func TestSubscribeWhileDrainingRace(t *testing.T) {
 		}(w)
 	}
 
-	if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
+	if _, errs := drainPipeline(sys); len(errs) != 0 {
 		t.Fatalf("drain errors: %v", errs)
 	}
 	close(stop)

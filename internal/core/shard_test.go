@@ -77,10 +77,10 @@ func TestShardedAskMatchesSingleStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, errs := single.Process(context.Background(), 0); len(errs) != 0 {
+	if _, errs := drainSequential(single); len(errs) != 0 {
 		t.Fatalf("single drain errors: %v", errs)
 	}
-	if _, errs := sharded.Process(context.Background(), 0); len(errs) != 0 {
+	if _, errs := drainSequential(sharded); len(errs) != 0 {
 		t.Fatalf("sharded drain errors: %v", errs)
 	}
 
@@ -152,11 +152,11 @@ func TestShardedConcurrentDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantOuts, errs := single.Process(context.Background(), 0)
+	wantOuts, errs := drainSequential(single)
 	if len(errs) != 0 {
 		t.Fatalf("single drain errors: %v", errs)
 	}
-	gotOuts, errs := sharded.ProcessConcurrent(context.Background(), 0)
+	gotOuts, errs := drainPipeline(sharded)
 	if len(errs) != 0 {
 		t.Fatalf("sharded drain errors: %v", errs)
 	}

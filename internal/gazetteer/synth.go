@@ -19,11 +19,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is the configuration used by the experiment harness.
-func DefaultConfig() Config {
-	return Config{Names: 20000, Seed: 2011} // 2011: the paper's year
-}
-
 // table1Seeds reproduces the paper's Table 1 exactly: the ten most
 // ambiguous geographic names in GeoNames with their reference counts.
 var table1Seeds = []struct {

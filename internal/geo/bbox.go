@@ -100,11 +100,6 @@ func (b BBox) Union(o BBox) BBox {
 	}
 }
 
-// Extend returns the smallest box containing b and p.
-func (b BBox) Extend(p Point) BBox {
-	return b.Union(BBoxOf(p))
-}
-
 // Area returns the box area in square degrees. Degrees (not metres) are the
 // right unit for R-tree split heuristics, where only relative areas matter.
 func (b BBox) Area() float64 {
@@ -112,14 +107,6 @@ func (b BBox) Area() float64 {
 		return 0
 	}
 	return (b.MaxLat - b.MinLat) * (b.MaxLon - b.MinLon)
-}
-
-// Margin returns half the box perimeter in degrees (used by R*-style splits).
-func (b BBox) Margin() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.MaxLat - b.MinLat) + (b.MaxLon - b.MinLon)
 }
 
 // Enlargement returns how much b's area grows if extended to cover o.

@@ -84,9 +84,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	}
 }
 
-// SlowThreshold returns the always-keep latency bar.
-func (r *Recorder) SlowThreshold() time.Duration { return r.slow }
-
 // register tracks a newly started trace for the active view. A second
 // root with the same trace ID (a request reusing an X-Request-Id)
 // simply displaces the old entry.

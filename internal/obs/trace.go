@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -87,51 +86,3 @@ func NewLogger(w io.Writer, format, level string) *slog.Logger {
 	}
 	return slog.New(slog.NewTextHandler(w, opts))
 }
-
-// LogfHandler adapts a legacy printf-style sink into a slog.Handler so
-// components migrated to structured logging keep honoring
-// WithLogger(func(format, args...)) options (tests pass t.Logf). Lines
-// render as "msg key=value ..." at Info and above.
-type LogfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-// NewLogfHandler wraps logf as a slog.Handler.
-func NewLogfHandler(logf func(format string, args ...any)) *LogfHandler {
-	return &LogfHandler{logf: logf}
-}
-
-// Enabled reports Info and above; the legacy sinks never asked for
-// debug spam.
-func (h *LogfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-// Handle renders the record onto the wrapped logf.
-func (h *LogfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		emit(a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-// WithAttrs returns a handler that prefixes the given attrs.
-func (h *LogfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	n := &LogfHandler{logf: h.logf}
-	n.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return n
-}
-
-// WithGroup flattens groups — the legacy sink has no nesting.
-func (h *LogfHandler) WithGroup(string) slog.Handler { return h }

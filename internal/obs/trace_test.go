@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
-	"log/slog"
 	"regexp"
 	"strings"
 	"testing"
@@ -72,25 +70,5 @@ func TestNewLoggerLevels(t *testing.T) {
 	l.Info("fallback")
 	if !strings.Contains(b.String(), "fallback") {
 		t.Errorf("fallback logger dropped info line:\n%s", b.String())
-	}
-}
-
-func TestLogfHandler(t *testing.T) {
-	var lines []string
-	h := NewLogfHandler(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	l := slog.New(h)
-	l.Debug("quiet")
-	l.Info("outcome", "trace", "deadbeef", "result", "merged")
-	l.With("lane", 3).Error("flush failed", "err", "disk full")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2: %v", len(lines), lines)
-	}
-	if want := "outcome trace=deadbeef result=merged"; lines[0] != want {
-		t.Errorf("line[0] = %q, want %q", lines[0], want)
-	}
-	if !strings.Contains(lines[1], "lane=3") || !strings.Contains(lines[1], "err=disk full") {
-		t.Errorf("line[1] = %q missing attrs", lines[1])
 	}
 }

@@ -119,7 +119,6 @@ type Manager struct {
 	dir    string
 	retain int
 	clock  func() time.Time
-	logf   func(format string, args ...any)
 
 	mu      sync.Mutex
 	seq     uint64 // highest sequence number seen or written
@@ -142,18 +141,6 @@ func WithClock(clock func() time.Time) Option {
 	return func(m *Manager) { m.clock = clock }
 }
 
-// WithLogger routes skip/prune diagnostics to logf (default: warn
-// lines on slog.Default()).
-func WithLogger(logf func(format string, args ...any)) Option {
-	return func(m *Manager) { m.logf = logf }
-}
-
-// slogf renders printf-style diagnostics onto the process's structured
-// logger — the default sink after the slog migration.
-func slogf(format string, args ...any) {
-	slog.Warn(fmt.Sprintf(format, args...))
-}
-
 // NewManager opens (creating if needed) the data directory and resumes
 // sequence numbering from the checkpoints already in it, so a restarted
 // process never reuses a sequence number.
@@ -161,7 +148,7 @@ func NewManager(dir string, opts ...Option) (*Manager, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("persist: empty data directory")
 	}
-	m := &Manager{dir: dir, retain: 3, clock: time.Now, logf: slogf}
+	m := &Manager{dir: dir, retain: 3, clock: time.Now}
 	for _, o := range opts {
 		o(m)
 	}
@@ -301,7 +288,7 @@ func (m *Manager) checkpoint(s Snapshotter, lsn int64) (Info, error) {
 	if err := m.writeManifest(info); err != nil {
 		// The checkpoint file itself is durable and the directory scan
 		// will find it; only the fast path is degraded.
-		m.logf("persist: manifest update failed (checkpoint %d still recoverable by scan): %v", seq, err)
+		slog.Warn("persist: manifest update failed (checkpoint still recoverable by scan)", "seq", seq, "err", err)
 	}
 	m.seq = seq
 	m.count++
@@ -324,13 +311,13 @@ func (m *Manager) Recover(s Snapshotter) (*Info, error) {
 	if info, err := m.readManifest(); err == nil && info != nil {
 		tried[info.File] = true
 		if err := m.restoreFile(s, true, info); err != nil {
-			m.logf("persist: manifest checkpoint %s unusable, falling back to scan: %v", info.File, err)
+			slog.Warn("persist: manifest checkpoint unusable, falling back to scan", "file", info.File, "err", err)
 		} else {
 			m.adopt(info)
 			return info, nil
 		}
 	} else if err != nil {
-		m.logf("persist: unreadable manifest, falling back to scan: %v", err)
+		slog.Warn("persist: unreadable manifest, falling back to scan", "err", err)
 	}
 
 	seqs := m.listSeqs()
@@ -342,7 +329,7 @@ func (m *Manager) Recover(s Snapshotter) (*Info, error) {
 		}
 		info := &Info{File: name}
 		if err := m.restoreFile(s, false, info); err != nil {
-			m.logf("persist: skipping corrupt checkpoint %s: %v", name, err)
+			slog.Warn("persist: skipping corrupt checkpoint", "file", name, "err", err)
 			continue
 		}
 		m.adopt(info)
@@ -508,7 +495,7 @@ func (m *Manager) prune() {
 		}
 		name := fmt.Sprintf("%s%016d%s", filePrefix, seq, fileSuffix)
 		if err := os.Remove(filepath.Join(m.dir, name)); err != nil {
-			m.logf("persist: pruning %s: %v", name, err)
+			slog.Warn("persist: pruning failed", "file", name, "err", err)
 		}
 	}
 	entries, err := os.ReadDir(m.dir)
@@ -518,7 +505,7 @@ func (m *Manager) prune() {
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), tmpSuffix) {
 			if err := os.Remove(filepath.Join(m.dir, e.Name())); err != nil {
-				m.logf("persist: removing stale temp %s: %v", e.Name(), err)
+				slog.Warn("persist: removing stale temp failed", "file", e.Name(), "err", err)
 			}
 		}
 	}

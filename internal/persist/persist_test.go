@@ -37,7 +37,6 @@ func (b *blobStore) Restore(r io.Reader) error {
 
 func newTestManager(t *testing.T, dir string, opts ...Option) *Manager {
 	t.Helper()
-	opts = append([]Option{WithLogger(t.Logf)}, opts...)
 	m, err := NewManager(dir, opts...)
 	if err != nil {
 		t.Fatal(err)

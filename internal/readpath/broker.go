@@ -203,17 +203,12 @@ func (b *Broker) shardsFor(spec Subscription) []int {
 	if n == 1 {
 		return []int{0}
 	}
-	router := b.store.Router()
 	if spec.Key != "" {
-		// Key-only routers co-locate all of an entity's records on the
-		// key's shard; spatial routers place located records by cell, so
-		// an entity's records can be anywhere.
-		if ko, ok := router.(interface{ RoutesByKeyAlone() bool }); ok && ko.RoutesByKeyAlone() {
-			return []int{router.Route(nil, spec.Key)}
-		}
+		// The spatial router places located records by cell, so an
+		// entity's records can be anywhere.
 		return allShards(n)
 	}
-	if gr, ok := router.(*shard.GridRouter); ok && b.store.Drift() == 0 {
+	if gr, ok := b.store.Router().(*shard.GridRouter); ok && b.store.Drift() == 0 {
 		return gr.CoverShards(*spec.Center, spec.RadiusMeters)
 	}
 	return allShards(n)

@@ -1,10 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"strings"
@@ -27,7 +28,7 @@ func decodeHealth(t *testing.T, body []byte) healthResponse {
 // contributions were dropped — /healthz must stop saying "ok".
 func TestHealthzDegradedOnDeadLetters(t *testing.T) {
 	fake := &fakeSystem{stats: neogeo.Stats{Queue: neogeo.QueueStats{Acked: 7, DeadLettered: 2}}}
-	srv := New(fake, WithLogger(t.Logf))
+	srv := New(fake, withTestLog(t))
 
 	w := doJSON(t, srv, http.MethodGet, "/healthz", "")
 	if w.Code != http.StatusServiceUnavailable {
@@ -49,7 +50,7 @@ func TestHealthzDegradedOnDeadLetters(t *testing.T) {
 // operator problem even with nothing dead-lettered in memory yet.
 func TestHealthzDegradedOnWALAppendErrors(t *testing.T) {
 	fake := &fakeSystem{stats: neogeo.Stats{Queue: neogeo.QueueStats{WALAppendErrors: 1}}}
-	srv := New(fake, WithLogger(t.Logf))
+	srv := New(fake, withTestLog(t))
 	w := doJSON(t, srv, http.MethodGet, "/healthz", "")
 	h := decodeHealth(t, w.Body.Bytes())
 	if w.Code != http.StatusServiceUnavailable || h.Status != "degraded" {
@@ -65,7 +66,7 @@ func TestHealthzDegradedOnWALAppendErrors(t *testing.T) {
 // wedged or absent; once the queue moves (or empties) health recovers.
 func TestHealthzDegradedOnStalledQueue(t *testing.T) {
 	fake := &fakeSystem{stats: neogeo.Stats{Queue: neogeo.QueueStats{Pending: 5, Acked: 3}}}
-	srv := New(fake, WithLogger(t.Logf), WithDrainInterval(time.Millisecond), WithStallAfter(time.Millisecond))
+	srv := New(fake, withTestLog(t), WithDrainInterval(time.Millisecond), WithStallAfter(time.Millisecond))
 
 	// First observation arms the watermark; the backlog is not yet stale.
 	w := doJSON(t, srv, http.MethodGet, "/healthz", "")
@@ -98,11 +99,9 @@ func TestHealthzDegradedOnStalledQueue(t *testing.T) {
 // the log; the wire gets the uniform envelope with no internal detail.
 func TestInternalErrorsAreGeneric(t *testing.T) {
 	const secret = "shard 3 exploded at /var/lib/neogeo/shard3"
-	var logged []string
+	var logged bytes.Buffer
 	fake := &fakeSystem{submitErr: errors.New(secret), askErr: errors.New(secret)}
-	srv := New(fake, WithLogger(func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}))
+	srv := New(fake, WithSlog(slog.New(slog.NewTextHandler(&logged, nil))))
 
 	cases := []struct {
 		method, path, body string
@@ -126,14 +125,8 @@ func TestInternalErrorsAreGeneric(t *testing.T) {
 			t.Errorf("%s: envelope = %+v", tc.path, resp.Error)
 		}
 	}
-	found := false
-	for _, line := range logged {
-		if strings.Contains(line, secret) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("real error never reached the log: %v", logged)
+	if !strings.Contains(logged.String(), secret) {
+		t.Errorf("real error never reached the log: %s", logged.String())
 	}
 }
 
@@ -141,7 +134,7 @@ func TestInternalErrorsAreGeneric(t *testing.T) {
 // reports it; without a data directory it maps the facade's sentinel.
 func TestCheckpointEndpoint(t *testing.T) {
 	fake := &fakeSystem{}
-	srv := New(fake, WithLogger(t.Logf))
+	srv := New(fake, withTestLog(t))
 	w := doJSON(t, srv, http.MethodPost, "/v1/checkpoint", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -184,7 +177,7 @@ func TestCheckpointEndpointRealSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	srv := New(sys, WithLogger(t.Logf))
+	srv := New(sys, withTestLog(t))
 
 	w := doJSON(t, srv, http.MethodPost, "/v1/messages", `{"text":"loved the Axel Hotel in Berlin, great stay","source":"alice"}`)
 	if w.Code != http.StatusAccepted {
@@ -227,7 +220,7 @@ func TestCheckpointEndpointRealSystem(t *testing.T) {
 func TestRunBackgroundLoops(t *testing.T) {
 	fake := &fakeSystem{}
 	srv := New(fake,
-		WithLogger(t.Logf),
+		withTestLog(t),
 		WithDrainInterval(2*time.Millisecond),
 		WithCheckpointInterval(5*time.Millisecond),
 		WithDecayInterval(5*time.Millisecond),
@@ -261,7 +254,7 @@ func TestRunBackgroundLoops(t *testing.T) {
 // loops stay off — only draining happens.
 func TestRunWithoutOptionalLoops(t *testing.T) {
 	fake := &fakeSystem{}
-	srv := New(fake, WithLogger(t.Logf), WithDrainInterval(time.Millisecond))
+	srv := New(fake, withTestLog(t), WithDrainInterval(time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

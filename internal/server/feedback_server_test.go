@@ -32,7 +32,7 @@ func askJSON(t *testing.T, srv http.Handler, question string) askResponse {
 // in /v1/stats.
 func TestFeedbackEndpointClosesTheLoop(t *testing.T) {
 	sys := newTestSystem(t)
-	srv := New(sys, WithLogger(t.Logf))
+	srv := New(sys, withTestLog(t))
 
 	for i, txt := range []string{
 		"wonderful stay at the Hotel Kilo in Berlin, lovely place",
@@ -97,7 +97,7 @@ func TestFeedbackEndpointClosesTheLoop(t *testing.T) {
 // accumulates them into /v1/stats.
 func TestDecayEndpoint(t *testing.T) {
 	sys := newTestSystem(t)
-	srv := New(sys, WithLogger(t.Logf))
+	srv := New(sys, withTestLog(t))
 
 	body, _ := json.Marshal(map[string]string{"text": "loved the Axel Hotel in Berlin, great stay", "source": "alice"})
 	if w := doJSON(t, srv, http.MethodPost, "/v1/messages", string(body)); w.Code != http.StatusAccepted {
@@ -167,7 +167,7 @@ func TestFeedbackErrorStatuses(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fake := &fakeSystem{feedbackErr: tc.err}
-			srv := New(fake, WithLogger(t.Logf))
+			srv := New(fake, withTestLog(t))
 			w := doJSON(t, srv, http.MethodPost, "/v1/feedback", `{"record_id": 7, "verdict": "confirm"}`)
 			if w.Code != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (%s)", w.Code, tc.wantStatus, w.Body.String())
@@ -187,7 +187,7 @@ func TestFeedbackErrorStatuses(t *testing.T) {
 // verdicts on the drain cadence without any explicit flush call.
 func TestRunLoopFlushesFeedback(t *testing.T) {
 	fake := &fakeSystem{}
-	srv := New(fake, WithDrainInterval(2*time.Millisecond), WithLogger(t.Logf))
+	srv := New(fake, WithDrainInterval(2*time.Millisecond), withTestLog(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})

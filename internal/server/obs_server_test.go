@@ -17,7 +17,7 @@ import (
 // and contains the HTTP middleware's own families once traffic exists.
 func TestMetricsEndpoint(t *testing.T) {
 	fake := &fakeSystem{}
-	srv := New(fake, WithLogger(t.Logf))
+	srv := New(fake, withTestLog(t))
 
 	// Generate one observed request first: the middleware records after
 	// the handler runs, so a scrape never sees itself.
@@ -51,7 +51,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // missing or junk one is replaced with a minted hex ID.
 func TestRequestIDHandling(t *testing.T) {
 	fake := &fakeSystem{}
-	srv := New(fake, WithLogger(t.Logf))
+	srv := New(fake, withTestLog(t))
 	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
 
 	do := func(id string) string {
@@ -99,7 +99,7 @@ func TestHealthzCheckpointStale(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fake := &fakeSystem{stats: neogeo.Stats{Checkpoint: tc.ck}}
-			srv := New(fake, append([]Option{WithLogger(t.Logf)}, tc.opts...)...)
+			srv := New(fake, append([]Option{withTestLog(t)}, tc.opts...)...)
 			w := doJSON(t, srv, http.MethodGet, "/healthz", "")
 			body := w.Body.String()
 			gotStale := strings.Contains(body, "checkpoint_stale")
@@ -129,7 +129,7 @@ func TestTraceRoundTripThroughRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sys1, WithLogger(t.Logf))
+	srv := New(sys1, withTestLog(t))
 	req := httptest.NewRequest(http.MethodPost, "/v1/messages",
 		strings.NewReader(`{"text":"the Axel Hotel in Berlin is lovely","source":"alice"}`))
 	req.Header.Set("Content-Type", "application/json")

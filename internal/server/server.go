@@ -69,7 +69,6 @@ type System interface {
 type Server struct {
 	sys           System
 	drainInterval time.Duration
-	drainBatch    int
 	// ckptInterval is the periodic-checkpoint cadence (0: none). It
 	// defaults to what the system was built with (WithCheckpointInterval
 	// on the facade) and can be overridden per server.
@@ -105,12 +104,6 @@ func WithDrainInterval(d time.Duration) Option {
 	return func(s *Server) { s.drainInterval = d }
 }
 
-// WithDrainBatch caps how many messages one drain pass dispatches
-// (default 0: drain until empty).
-func WithDrainBatch(n int) Option {
-	return func(s *Server) { s.drainBatch = n }
-}
-
 // WithCheckpointInterval overrides the periodic-checkpoint cadence Run
 // uses (default: the system's own CheckpointInterval; 0 disables the
 // loop, leaving only POST /v1/checkpoint and shutdown checkpoints).
@@ -144,16 +137,10 @@ func WithHeartbeatInterval(d time.Duration) Option {
 	return func(s *Server) { s.heartbeat = d }
 }
 
-// WithLogger routes the server's diagnostics (drain/checkpoint/decay
-// errors, masked 500 causes) to logf (default: the process slog
-// logger). The printf-shaped signature is kept for compatibility;
-// structured records render onto it as "msg key=value ..." lines.
-func WithLogger(logf func(format string, args ...any)) Option {
-	return func(s *Server) { s.log = slog.New(obs.NewLogfHandler(logf)) }
-}
-
-// WithSlog routes the server's diagnostics to a structured logger
-// directly (the daemon passes its -log-format/-log-level logger here).
+// WithSlog routes the server's diagnostics (drain/checkpoint/decay
+// errors, masked 500 causes) to a structured logger (default: the
+// process slog logger; the daemon passes its -log-format/-log-level
+// logger here).
 func WithSlog(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
 }
@@ -216,7 +203,7 @@ func (s *Server) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-drain.C:
-			for _, err := range s.sys.Drain(ctx, s.drainBatch) {
+			for _, err := range s.sys.Drain(ctx, 0) {
 				if err != nil {
 					s.log.Error("server: drain failed", "err", err)
 				}

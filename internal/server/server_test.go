@@ -89,7 +89,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // answer, the stats snapshot, and healthz.
 func TestGoldenTourismScenario(t *testing.T) {
 	sys := newTestSystem(t)
-	srv := New(sys, WithLogger(t.Logf))
+	srv := New(sys, withTestLog(t))
 
 	for i, m := range tourismMessages {
 		body, err := json.Marshal(map[string]string{"text": m, "source": fmt.Sprintf("user%d", i+1)})
@@ -144,7 +144,7 @@ func TestGoldenTourismScenario(t *testing.T) {
 // inputs — each with its JSON error code.
 func TestErrorMapping(t *testing.T) {
 	sys := newTestSystem(t)
-	srv := New(sys, WithLogger(t.Logf))
+	srv := New(sys, withTestLog(t))
 
 	cases := []struct {
 		name       string
@@ -212,7 +212,7 @@ func TestErrorMapping(t *testing.T) {
 // stats record counts — the daemon's core promise, asserted in-process.
 func TestEndToEndSubmitDrainAsk(t *testing.T) {
 	sys := newTestSystem(t)
-	srv := New(sys, WithDrainInterval(5*time.Millisecond), WithLogger(t.Logf))
+	srv := New(sys, WithDrainInterval(5*time.Millisecond), withTestLog(t))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -275,7 +275,7 @@ func TestConcurrentAskWhileDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	srv := New(sys, WithDrainInterval(time.Millisecond), WithLogger(t.Logf))
+	srv := New(sys, WithDrainInterval(time.Millisecond), withTestLog(t))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -41,7 +41,7 @@ func TestSubscribePathParsing(t *testing.T) {
 func TestSubscribeHandlers(t *testing.T) {
 	t.Run("register", func(t *testing.T) {
 		fake := &fakeSystem{}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		w := doJSON(t, srv, http.MethodPost, "/v1/subscribe", `{"collection":"Hotels","key":"Axel Hotel"}`)
 		if w.Code != http.StatusCreated {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -56,7 +56,7 @@ func TestSubscribeHandlers(t *testing.T) {
 	})
 	t.Run("invalid spec", func(t *testing.T) {
 		fake := &fakeSystem{subscribeErr: neogeo.ErrInvalidSubscription}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		w := doJSON(t, srv, http.MethodPost, "/v1/subscribe", `{}`)
 		if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "invalid_subscription") {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -64,7 +64,7 @@ func TestSubscribeHandlers(t *testing.T) {
 	})
 	t.Run("broker closed", func(t *testing.T) {
 		fake := &fakeSystem{subscribeErr: neogeo.ErrSubscriptionClosed}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		w := doJSON(t, srv, http.MethodPost, "/v1/subscribe", `{"key":"x"}`)
 		if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "subscriptions_closed") {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -72,7 +72,7 @@ func TestSubscribeHandlers(t *testing.T) {
 	})
 	t.Run("cancel", func(t *testing.T) {
 		fake := &fakeSystem{}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		w := doJSON(t, srv, http.MethodDelete, "/v1/subscribe/sub1", "")
 		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "cancelled") {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -83,7 +83,7 @@ func TestSubscribeHandlers(t *testing.T) {
 	})
 	t.Run("cancel unknown", func(t *testing.T) {
 		fake := &fakeSystem{unsubErr: neogeo.ErrUnknownSubscription}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		w := doJSON(t, srv, http.MethodDelete, "/v1/subscribe/nope", "")
 		if w.Code != http.StatusNotFound || !strings.Contains(w.Body.String(), "unknown_subscription") {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -91,7 +91,7 @@ func TestSubscribeHandlers(t *testing.T) {
 	})
 	t.Run("stream unknown", func(t *testing.T) {
 		fake := &fakeSystem{openErr: neogeo.ErrUnknownSubscription}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		w := doJSON(t, srv, http.MethodGet, "/v1/subscribe/nope/stream", "")
 		if w.Code != http.StatusNotFound {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -99,7 +99,7 @@ func TestSubscribeHandlers(t *testing.T) {
 	})
 	t.Run("stream busy", func(t *testing.T) {
 		fake := &fakeSystem{openErr: neogeo.ErrStreamBusy}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		w := doJSON(t, srv, http.MethodGet, "/v1/subscribe/sub1/stream", "")
 		if w.Code != http.StatusConflict || !strings.Contains(w.Body.String(), "stream_busy") {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
@@ -107,7 +107,7 @@ func TestSubscribeHandlers(t *testing.T) {
 	})
 	t.Run("method table", func(t *testing.T) {
 		fake := &fakeSystem{}
-		srv := New(fake, WithLogger(t.Logf))
+		srv := New(fake, withTestLog(t))
 		for _, tc := range []struct {
 			method, path, allow string
 		}{
@@ -131,7 +131,7 @@ func TestSubscribeHandlers(t *testing.T) {
 // cadence instead of data it does not have.
 func TestStreamHeartbeat(t *testing.T) {
 	fake := &fakeSystem{} // zero-value stream: Next never yields an event
-	srv := New(fake, WithLogger(t.Logf), WithHeartbeatInterval(10*time.Millisecond))
+	srv := New(fake, withTestLog(t), WithHeartbeatInterval(10*time.Millisecond))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
@@ -153,7 +153,7 @@ func TestStreamHeartbeat(t *testing.T) {
 // event frame on the wire; cancelling the subscription ends the stream.
 func TestSSEEndToEnd(t *testing.T) {
 	sys := newTestSystem(t)
-	srv := New(sys, WithDrainInterval(5*time.Millisecond), WithLogger(t.Logf))
+	srv := New(sys, WithDrainInterval(5*time.Millisecond), withTestLog(t))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

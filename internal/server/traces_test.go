@@ -60,7 +60,7 @@ func TestExplainMatchesPlainAsk(t *testing.T) {
 			t.Fatalf("ingest: %v", err)
 		}
 	}
-	srv := New(sys, WithLogger(t.Logf))
+	srv := New(sys, withTestLog(t))
 
 	const q = `{"question":"can anyone recommend a good hotel in Berlin?","source":"bob"`
 	plain := doJSON(t, srv, http.MethodPost, "/v1/ask", q+"}")
@@ -135,7 +135,7 @@ func spanNames(v *obs.SpanView) map[string]bool {
 // structured 404, and non-GET methods are rejected.
 func TestTraceEndpoint(t *testing.T) {
 	sys := newTracingSystem(t)
-	srv := New(sys, WithLogger(t.Logf))
+	srv := New(sys, withTestLog(t))
 
 	req := doJSON(t, srv, http.MethodPost, "/v1/ask",
 		`{"question":"any good hotels in Berlin?","source":"bob","explain":true}`)
@@ -193,7 +193,7 @@ func TestPanicEndsRootSpan(t *testing.T) {
 	obs.SetDefaultRecorder(rec)
 	t.Cleanup(func() { obs.SetDefaultRecorder(nil) })
 
-	srv := New(&fakeSystem{askPanic: true}, WithLogger(t.Logf))
+	srv := New(&fakeSystem{askPanic: true}, withTestLog(t))
 	req := httptest.NewRequest(http.MethodPost, "/v1/ask", strings.NewReader(`{"question":"q","source":"s"}`))
 	req.Header.Set("X-Request-Id", "panic-trace")
 	w := httptest.NewRecorder()

@@ -122,10 +122,3 @@ func (r *GridRouter) allShards() []int {
 }
 
 func deg2rad(d float64) float64 { return d * math.Pi / 180 }
-
-// RoutesByKeyAlone documents that HashRouter placement ignores
-// geography entirely: every record, located or not, lands on the shard
-// of its entity key. The read path's subscription registrar asserts for
-// this to register an entity-keyed standing query on a single shard
-// instead of all of them.
-func (r *HashRouter) RoutesByKeyAlone() bool { return true }

@@ -49,8 +49,7 @@ const GridPrecision = 3
 // records where a single store would merge — spatial locality and key
 // locality cannot both hold without a global directory. Streams whose
 // reports resolve locations consistently (the validation scenarios) are
-// unaffected; for heavily mixed streams prefer HashRouter, which always
-// co-locates an entity's reports.
+// unaffected.
 type GridRouter struct {
 	n         int
 	precision int
@@ -75,31 +74,6 @@ func (r *GridRouter) Route(loc *geo.Point, key string) int {
 	}
 	if loc != nil {
 		return int(hashString(geo.EncodeGeohash(*loc, r.precision)) % uint64(r.n))
-	}
-	return int(hashString("key\x00"+text.NormalizeName(key)) % uint64(r.n))
-}
-
-// HashRouter ignores geography and routes purely by entity key — useful
-// when the workload has no spatial skew or no locations at all. Records
-// with a location still route by key, so a located and a location-less
-// report about the same entity always meet.
-type HashRouter struct{ n int }
-
-// NewHashRouter returns a key-hash router over n shards (n >= 1).
-func NewHashRouter(n int) *HashRouter {
-	if n < 1 {
-		n = 1
-	}
-	return &HashRouter{n: n}
-}
-
-// Shards implements Router.
-func (r *HashRouter) Shards() int { return r.n }
-
-// Route implements Router.
-func (r *HashRouter) Route(_ *geo.Point, key string) int {
-	if r.n == 1 {
-		return 0
 	}
 	return int(hashString("key\x00"+text.NormalizeName(key)) % uint64(r.n))
 }

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
+	"math"
 
 	"repro/internal/xmldb"
 )
@@ -34,10 +34,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 		if err := db.Snapshot(&buf); err != nil {
 			return fmt.Errorf("shard: snapshot shard %d: %w", i, err)
 		}
-		if err := binary.Write(w, binary.BigEndian, uint64(buf.Len())); err != nil {
-			return fmt.Errorf("shard: snapshot shard %d: %w", i, err)
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		if err := WriteSection(w, buf.Bytes()); err != nil {
 			return fmt.Errorf("shard: snapshot shard %d: %w", i, err)
 		}
 	}
@@ -53,10 +50,6 @@ func (s *Store) Snapshot(w io.Writer) error {
 // snapshot leaves the store unchanged; afterwards each shard's ID
 // sequence is re-aligned onto its residue class so new inserts keep
 // strided, globally unique IDs.
-//
-// A single-shard store also accepts a bare xmldb snapshot (the format
-// the unsharded system wrote before sections existed), so snapshots
-// taken by earlier releases stay restorable.
 func (s *Store) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
@@ -65,12 +58,6 @@ func (s *Store) Restore(r io.Reader) error {
 	}
 	var count int
 	if _, err := fmt.Sscanf(header, snapshotMagic+" %d\n", &count); err != nil {
-		if len(s.dbs) == 1 {
-			// Not a sectioned stream: hand the whole thing — consumed
-			// header line included — to the single shard as a legacy
-			// bare snapshot.
-			return s.dbs[0].Restore(io.MultiReader(strings.NewReader(header), br))
-		}
 		return fmt.Errorf("shard: restore: not a sharded snapshot (header %q)", header)
 	}
 	if count != len(s.dbs) {
@@ -79,12 +66,7 @@ func (s *Store) Restore(r io.Reader) error {
 
 	sections := make([][]byte, count)
 	for i := range sections {
-		var n uint64
-		if err := binary.Read(br, binary.BigEndian, &n); err != nil {
-			return fmt.Errorf("shard: restore: shard %d length: %w", i, err)
-		}
-		sections[i] = make([]byte, n)
-		if _, err := io.ReadFull(br, sections[i]); err != nil {
+		if sections[i], err = ReadSection(br); err != nil {
 			return fmt.Errorf("shard: restore: shard %d section: %w", i, err)
 		}
 		// Full validation pass against a scratch database: the section
@@ -105,6 +87,38 @@ func (s *Store) Restore(r io.Reader) error {
 	}
 	s.auditDrift()
 	return nil
+}
+
+// WriteSection writes data as one length-prefixed (big-endian uint64)
+// section of a snapshot stream.
+func WriteSection(w io.Writer, data []byte) error {
+	if err := binary.Write(w, binary.BigEndian, uint64(len(data))); err != nil {
+		return err
+	}
+	_, err := w.Write(data)
+	return err
+}
+
+// ReadSection reads one section written by WriteSection. The length comes
+// from the stream, so the bytes are copied as they arrive: a torn or
+// hostile image fails on its short input instead of allocating whatever
+// its length field claims.
+func ReadSection(r io.Reader) ([]byte, error) {
+	var n uint64
+	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
+		return nil, err
+	}
+	if n > math.MaxInt64 {
+		return nil, fmt.Errorf("section length %d out of range", n)
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("section of %d bytes: %w", n, err)
+	}
+	return buf.Bytes(), nil
 }
 
 // auditDrift re-counts placement drift after a restore: a restored

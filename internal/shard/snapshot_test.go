@@ -73,31 +73,28 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyBareSnapshot: a single-shard store accepts the bare
-// xmldb snapshot format the unsharded system wrote before sections
-// existed, so old snapshots stay restorable.
-func TestRestoreLegacyBareSnapshot(t *testing.T) {
-	src, err := New(1, nil)
+// TestRestoreTornSectionLength: a section whose length prefix claims far
+// more than the stream holds (a torn or hostile image) is an error, not
+// an allocation of whatever the prefix says.
+func TestRestoreTornSectionLength(t *testing.T) {
+	st, err := New(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Insert("Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
+	if _, err := st.Insert("Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
 		t.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := src.Shard(0).Snapshot(&legacy); err != nil { // the pre-section format
-		t.Fatal(err)
+	for _, length := range []string{
+		"\xff\xff\xff\xff\xff\xff\xff\xff", // > MaxInt64: makeslice panicked
+		"\x00\x00\x7f\xff\xff\xff\xff\xff", // 140 TB: fits an int, not memory
+	} {
+		torn := snapshotMagic + " 1\n" + length
+		if err := st.Restore(strings.NewReader(torn)); err == nil {
+			t.Errorf("length %x: torn snapshot accepted", length)
+		}
 	}
-
-	dst, err := New(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Restore(bytes.NewReader(legacy.Bytes())); err != nil {
-		t.Fatalf("legacy restore: %v", err)
-	}
-	if dst.Len("Hotels") != 1 {
-		t.Errorf("restored %d records, want 1", dst.Len("Hotels"))
+	if st.Len("Hotels") != 1 {
+		t.Errorf("refused restore touched the store: %d records", st.Len("Hotels"))
 	}
 }
 

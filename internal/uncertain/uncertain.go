@@ -168,18 +168,6 @@ func (d *Dist) total() float64 {
 	return t
 }
 
-// Mass returns the unnormalised mass of an alternative (0 if absent).
-// When masses were accumulated as absolute probabilities (as pxml's value
-// distributions do), Mass is the marginal probability itself.
-func (d *Dist) Mass(name string) float64 {
-	return d.alts[name]
-}
-
-// TotalMass returns the sum of unnormalised masses.
-func (d *Dist) TotalMass() float64 {
-	return d.total()
-}
-
 // Masses returns all (name, unnormalised mass) pairs in insertion order.
 func (d *Dist) Masses() []Alternative {
 	out := make([]Alternative, 0, len(d.order))

@@ -29,13 +29,15 @@
 //		fmt.Println(r.Fields["Hotel_Name"], r.Certainty)
 //	}
 //
-// For heavy streams, enqueue with Submit and drain through the concurrent
-// pipeline — a worker pool (WithWorkers, default GOMAXPROCS) runs
-// extraction in parallel while per-shard integration lanes amortize
-// database integration and queue acknowledgement. WithShards partitions
-// the probabilistic store spatially (0/1 keeps a single store). Drain
-// streams outcomes as they complete, so a million-message drain never
-// buffers every outcome in memory:
+// Queued messages are processed by one of two engines. Ingest runs its
+// message inline, in order — the deterministic path. For heavy streams,
+// enqueue with Submit and Drain through the concurrent pipeline — a
+// worker pool (WithWorkers, default GOMAXPROCS) runs extraction in
+// parallel while per-shard integration lanes amortize database
+// integration and queue acknowledgement. WithShards partitions the
+// probabilistic store spatially (0/1 keeps a single store). Drain
+// streams outcomes as they complete, on the goroutine that ranges over
+// it, so a million-message drain never buffers every outcome in memory:
 //
 //	sys, _ := neogeo.New(neogeo.WithShards(4), neogeo.WithWorkers(8))
 //	for _, m := range stream {
@@ -130,9 +132,10 @@ func (s *System) Submit(ctx context.Context, body, source string) (int64, error)
 // on entry.
 //
 // Ingest is meant for interactive, single-writer flows: it processes the
-// queue's next message, which is its own submission only while no Drain
-// runs concurrently. A serving deployment uses Submit + Drain for
-// contributions and Ask (which never touches the queue) for questions.
+// queue's next message inline (the coordinator's ProcessOne engine),
+// which is its own submission only while no Drain runs concurrently. A
+// serving deployment uses Submit + Drain for contributions and Ask (which
+// never touches the queue) for questions.
 func (s *System) Ingest(ctx context.Context, body, source string) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

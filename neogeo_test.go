@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestPublicAPIQuickstart exercises the README quickstart path through the
@@ -246,10 +248,63 @@ func TestDrainConsumerPanic(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConfigShim: the alias-era construction struct still
-// builds a working system.
-func TestDeprecatedConfigShim(t *testing.T) {
-	sys, err := NewFromConfig(Config{GazetteerNames: 300, Shards: 2, Workers: 1})
+// TestConcurrentDrainsAllReturn: several goroutines draining one system
+// compete for messages and every one of them returns — each message
+// comes out of exactly one of the drains. (Each dispatcher used to wait
+// on the queue-wide in-flight count while being woken only by its own
+// lanes, so concurrent drains hung.) Run with -race.
+func TestConcurrentDrainsAllReturn(t *testing.T) {
+	sys, err := New(WithGazetteerNames(300), WithWorkers(2), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ctx := context.Background()
+	const drainers, n = 4, 400
+	for i := 0; i < n; i++ {
+		msg := fmt.Sprintf("wonderful stay at the Hotel Number %d in Berlin, lovely place", i)
+		if _, err := sys.Submit(ctx, msg, fmt.Sprintf("user%d", i%9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	counts := make([]int, drainers)
+	var wg sync.WaitGroup
+	for d := 0; d < drainers; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			for _, err := range sys.Drain(ctx, 0) {
+				if err != nil {
+					t.Errorf("drainer %d: %v", d, err)
+				}
+				counts[d]++
+			}
+		}(d)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent drains did not all return")
+	}
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total != n {
+		t.Fatalf("drains yielded %d outcomes (%v), want %d", total, counts, n)
+	}
+	if st := sys.Stats(); st.Queue.Pending != 0 || st.Queue.InFlight != 0 || st.Queue.Acked != n {
+		t.Fatalf("queue after concurrent drains: %+v, want %d acked", st.Queue, n)
+	}
+}
+
+// TestNewWithOptions: functional options are the one way to configure
+// construction, and what they set reaches the built system.
+func TestNewWithOptions(t *testing.T) {
+	sys, err := New(WithGazetteerNames(300), WithShards(2), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,10 @@ func WithCheckpointRetain(n int) Option {
 	return func(s *settings) { s.core.CheckpointRetain = n }
 }
 
-// WithWorkers sets the concurrency of the stream-processing pipeline:
-// Drain runs classification and extraction on this many goroutines while
-// per-shard integration lanes serialize database writes. 0 (the default)
-// uses GOMAXPROCS; 1 keeps the pipeline single-threaded and its outcome
-// order deterministic.
+// WithWorkers sets the width of Drain's pipeline: classification and
+// extraction run on this many goroutines while per-shard integration
+// lanes serialize database writes. 0 (the default) uses GOMAXPROCS.
+// Ingest is not affected: it runs each message inline, in order.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.core.Workers = n }
 }
@@ -127,46 +126,4 @@ func WithTraceSampling(n int) Option {
 // WithClock overrides the system's time source (tests).
 func WithClock(clock func() time.Time) Option {
 	return func(s *settings) { s.core.Clock = clock }
-}
-
-// Config is the construction struct of the facade's alias era, kept so
-// existing callers migrate mechanically.
-//
-// Deprecated: build systems with New and functional options
-// (WithShards, WithWorkers, WithQueueWAL, …) instead; new construction
-// knobs appear only as options.
-type Config struct {
-	// GazetteerNames is the synthetic gazetteer size (default 2000).
-	GazetteerNames int
-	// GazetteerSeed seeds gazetteer synthesis (default 2011).
-	GazetteerSeed int64
-	// QueueWAL, when non-empty, persists the message queue to this file.
-	QueueWAL string
-	// Workers sets the pipeline's worker-pool width (0 = GOMAXPROCS).
-	Workers int
-	// Shards partitions the probabilistic store (0/1 = single store).
-	Shards int
-	// IntegrateBatch caps the integration lanes' batch size (default 16).
-	IntegrateBatch int
-}
-
-// WithConfig applies every field of a legacy Config as one option.
-//
-// Deprecated: pass the individual options instead.
-func WithConfig(cfg Config) Option {
-	return func(s *settings) {
-		s.core.GazetteerNames = cfg.GazetteerNames
-		s.core.GazetteerSeed = cfg.GazetteerSeed
-		s.core.QueueWAL = cfg.QueueWAL
-		s.core.Workers = cfg.Workers
-		s.core.Shards = cfg.Shards
-		s.core.IntegrateBatch = cfg.IntegrateBatch
-	}
-}
-
-// NewFromConfig builds a System from a legacy Config.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(cfg Config) (*System, error) {
-	return New(WithConfig(cfg))
 }

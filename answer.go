@@ -51,127 +51,127 @@ type Outcome struct {
 // formulated query and the ranked records it was generated from.
 type Answer struct {
 	// Text is the generated natural-language reply.
-	Text string
+	Text string `json:"text"`
 	// Query is the formulated database query, for transparency — the
 	// paper shows it explicitly in the worked scenario.
-	Query string
+	Query string `json:"query"`
 	// Results are the ranked records behind the reply, best first.
-	Results []Result
+	Results []Result `json:"results"`
 }
 
 // Result is one ranked record in an answer.
 type Result struct {
 	// ID is the record's database ID.
-	ID int64
+	ID int64 `json:"id"`
 	// Certainty is the record's overall rank score — the probability the
 	// query condition holds, weighted by the integration-assigned record
 	// certainty (the paper's score($x)).
-	Certainty float64
+	Certainty float64 `json:"certainty"`
 	// CondP is the probability that the query's where-clause holds for
 	// this record under possible-world semantics (1 with no condition).
-	CondP float64
+	CondP float64 `json:"cond_p"`
 	// Location is the record's resolved position, nil when none was
 	// resolved.
-	Location *Location
+	Location *Location `json:"location,omitempty"`
 	// Fields maps the record's top-level fields to their most likely
 	// value: for probabilistic fields the highest-probability
 	// alternative, for plain fields the stored text.
-	Fields map[string]string
+	Fields map[string]string `json:"fields"`
 	// XML is the stored probabilistic XML document, for display and
 	// debugging.
-	XML string
+	XML string `json:"-"`
 }
 
 // Location is a resolved geographic position.
 type Location struct {
-	Lat float64 // latitude, degrees north
-	Lon float64 // longitude, degrees east
+	Lat float64 `json:"lat"` // latitude, degrees north
+	Lon float64 `json:"lon"` // longitude, degrees east
 }
 
 // Stats is a snapshot of the system's stores and queue health.
 type Stats struct {
 	// GazetteerEntries and GazetteerNames size the toponym database:
 	// total references and distinct names.
-	GazetteerEntries int
-	GazetteerNames   int
+	GazetteerEntries int `json:"gazetteer_entries"`
+	GazetteerNames   int `json:"gazetteer_names"`
 	// Queue is the message queue's health.
-	Queue QueueStats
+	Queue QueueStats `json:"queue"`
 	// Collections counts stored records per collection across all shards.
-	Collections map[string]int
+	Collections map[string]int `json:"collections"`
 	// Shards is the store's partition count; ShardRecords the total
 	// record count per shard.
-	Shards       int
-	ShardRecords []int
+	Shards       int   `json:"shards"`
+	ShardRecords []int `json:"shard_records"`
 	// Checkpoint is the durability subsystem's state.
-	Checkpoint CheckpointStats
+	Checkpoint CheckpointStats `json:"checkpoint"`
 	// Feedback is the user-feedback subsystem's counters.
-	Feedback FeedbackStats
+	Feedback FeedbackStats `json:"feedback"`
 	// Decay is the certainty-ageing totals.
-	Decay DecayStats
+	Decay DecayStats `json:"decay"`
 	// Cache is the answer cache's snapshot (Enabled false without
 	// WithAnswerCache).
-	Cache CacheStats
+	Cache CacheStats `json:"cache"`
 	// Subscriptions is the standing-query broadcaster's snapshot.
-	Subscriptions SubscriptionStats
+	Subscriptions SubscriptionStats `json:"subscriptions"`
 	// Latency summarises the observability layer's latency histograms
 	// for the hot paths; zero-valued summaries when nothing has been
 	// observed yet (full distributions are on GET /metrics).
-	Latency LatencyStats
+	Latency LatencyStats `json:"-"`
 	// Traces is the span flight recorder's snapshot (Enabled false
 	// without WithTraceRecorder).
-	Traces TraceStats
+	Traces TraceStats `json:"traces"`
 }
 
 // TraceStats is the span flight recorder's snapshot.
 type TraceStats struct {
 	// Enabled says whether tracing is configured (WithTraceRecorder).
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Capacity is the recorder's completed-trace ring bound; Kept how
 	// many traces it currently holds; Active how many traces have
 	// started but not yet finished their root span.
-	Capacity int
-	Kept     int
-	Active   int
+	Capacity int `json:"capacity"`
+	Kept     int `json:"kept"`
+	Active   int `json:"active"`
 	// Completed counts finished traces, KeptTotal the subset the keep
 	// policy recorded, Dropped the subset it discarded, and Evicted
 	// recorded traces later displaced by ring capacity.
-	Completed uint64
-	KeptTotal uint64
-	Dropped   uint64
-	Evicted   uint64
+	Completed uint64 `json:"completed"`
+	KeptTotal uint64 `json:"kept_total"`
+	Dropped   uint64 `json:"dropped"`
+	Evicted   uint64 `json:"evicted"`
 	// SlowThresholdSeconds is the always-keep latency bar; SampleN the
 	// 1-in-N sampling rate for ordinary traces (0: none kept).
-	SlowThresholdSeconds float64
-	SampleN              int
+	SlowThresholdSeconds float64 `json:"slow_threshold_seconds"`
+	SampleN              int     `json:"sample_n"`
 }
 
 // CacheStats is the answer cache's snapshot.
 type CacheStats struct {
 	// Enabled says whether the cache is configured (WithAnswerCache).
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Entries is the current entry count; Capacity the configured bound.
-	Entries  int
-	Capacity int
+	Entries  int `json:"entries"`
+	Capacity int `json:"capacity"`
 	// Hits and Misses count lookups; HitRate is Hits/(Hits+Misses),
 	// 0 before any lookup.
-	Hits    int64
-	Misses  int64
-	HitRate float64
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
 	// Evictions counts entries dropped by LRU capacity pressure,
 	// Invalidations entries dropped because a touched shard's version
 	// moved.
-	Evictions     int64
-	Invalidations int64
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
 }
 
 // SubscriptionStats is the standing-query broadcaster's snapshot.
 type SubscriptionStats struct {
 	// Active is the current subscription count.
-	Active int
+	Active int `json:"active"`
 	// Delivered and Dropped count events buffered for consumers versus
 	// lost to per-subscription buffer bounds.
-	Delivered int64
-	Dropped   int64
+	Delivered int64 `json:"delivered"`
+	Dropped   int64 `json:"dropped"`
 }
 
 // LatencyStats groups the latency summaries surfaced in Stats.
@@ -203,36 +203,36 @@ type LatencySummary struct {
 // and how stale the newest one is.
 type CheckpointStats struct {
 	// Enabled says whether a data directory is configured (WithDataDir).
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Count is the number of checkpoints written since construction.
-	Count int
+	Count int `json:"count"`
 	// LastSeq, LastBytes and LastAge describe the newest valid
 	// checkpoint, written or recovered; zero values when none exists.
-	LastSeq   uint64
-	LastBytes int64
-	LastAge   time.Duration
+	LastSeq   uint64        `json:"last_seq"`
+	LastBytes int64         `json:"last_bytes"`
+	LastAge   time.Duration `json:"last_age_ns"`
 	// LastError is the most recent checkpoint attempt's failure message,
 	// empty when it succeeded. /healthz degrades with reason
 	// checkpoint_stale while it is set.
-	LastError string
+	LastError string `json:"-"`
 }
 
 // QueueStats is the message queue's health snapshot.
 type QueueStats struct {
 	// Pending is the number of undelivered messages.
-	Pending int
+	Pending int `json:"pending"`
 	// InFlight is the number of leased, unacknowledged messages.
-	InFlight int
+	InFlight int `json:"in_flight"`
 	// Acked counts messages successfully acknowledged over the queue's
 	// lifetime.
-	Acked int
+	Acked int `json:"acked"`
 	// DeadLettered counts messages that exhausted their delivery
 	// attempts.
-	DeadLettered int
+	DeadLettered int `json:"dead_lettered"`
 	// WALAppendErrors counts queue-WAL appends that failed on the
 	// dead-letter path; non-zero means the log and the in-memory
 	// dead-letter list have diverged.
-	WALAppendErrors int
+	WALAppendErrors int `json:"wal_append_errors"`
 }
 
 // publicOutcome projects an internal outcome onto the facade's type.

@@ -968,7 +968,7 @@ func BenchmarkShardIntegrateLanes(b *testing.B) {
 			processed := 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				st, err := shard.New(nShards, nil)
+				st, err := shard.New(nShards)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1102,7 +1102,7 @@ func BenchmarkFeedbackApply(b *testing.B) {
 			b.ResetTimer()
 			applied := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.SubmitFeedback(feedback.Verdict{
+				if _, err := sys.Feedback.Submit(feedback.Verdict{
 					RecordID: ids[i%len(ids)],
 					Kind:     kinds[i%len(kinds)],
 					Source:   fmt.Sprintf("judge%d", i%13),
@@ -1111,10 +1111,10 @@ func BenchmarkFeedbackApply(b *testing.B) {
 				}
 				applied++
 				if i%64 == 63 {
-					sys.FlushFeedback()
+					sys.Feedback.Flush()
 				}
 			}
-			sys.FlushFeedback()
+			sys.Feedback.Flush()
 			b.ReportMetric(float64(applied)/b.Elapsed().Seconds(), "verdicts/sec")
 		})
 	}
@@ -1147,13 +1147,13 @@ func BenchmarkMixedAskFeedbackDrain(b *testing.B) {
 		if _, err := sys.Ask(context.Background(), questions[i%len(questions)], "asker"); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.SubmitFeedback(feedback.Verdict{
+		if _, err := sys.Feedback.Submit(feedback.Verdict{
 			RecordID: ids[i%len(ids)],
 			Kind:     feedback.KindConfirm,
 			Source:   fmt.Sprintf("fan%d", i%7),
 		}); err != nil {
 			b.Fatal(err)
 		}
-		sys.FlushFeedback()
+		sys.Feedback.Flush()
 	}
 }

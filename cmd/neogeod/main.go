@@ -20,9 +20,8 @@
 // never ride the public surface. -trace-recorder keeps the last N
 // interesting request timelines queryable at GET /v1/traces/{id}
 // (slow or errored traces always kept, plus 1-in--trace-sample of the
-// rest; -trace-slow sets the slow bar, NEOGEO_TRACE_SLOW overrides
-// it). -log-format/-log-level shape the structured log stream every
-// subsystem writes to.
+// rest; -trace-slow sets the slow bar). -log-format/-log-level shape
+// the structured log stream every subsystem writes to.
 //
 //	neogeod -addr :8080 -shards 4 -workers 8 \
 //	    -wal /var/lib/neogeo/queue.wal -data-dir /var/lib/neogeo/data \
@@ -66,18 +65,10 @@ func main() {
 		decayFloor = flag.Float64("decay-floor", 0.05, "certainty below which a decayed record is deleted")
 		ansCache   = flag.Int("answer-cache", 0, "answer-cache capacity in entries (0: every ask recomputes)")
 		traceCap   = flag.Int("trace-recorder", 256, "span flight-recorder capacity in completed traces (0: tracing off)")
-		traceSlow  = flag.Duration("trace-slow", time.Second, "always keep traces at least this slow (NEOGEO_TRACE_SLOW overrides)")
+		traceSlow  = flag.Duration("trace-slow", time.Second, "always keep traces at least this slow")
 		traceN     = flag.Int("trace-sample", 0, "keep 1 in N ordinary traces (0: only slow/errored/explain traces kept)")
 	)
 	flag.Parse()
-	if env := os.Getenv("NEOGEO_TRACE_SLOW"); env != "" {
-		d, err := time.ParseDuration(env)
-		if err != nil {
-			slog.Error("invalid NEOGEO_TRACE_SLOW", "value", env, "err", err)
-			os.Exit(2)
-		}
-		*traceSlow = d
-	}
 	logger := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
 	slog.SetDefault(logger)
 	if *dataDir == "" {
@@ -91,7 +82,6 @@ func main() {
 		neogeo.WithGazetteerSeed(*seed),
 		neogeo.WithQueueWAL(*walPath),
 		neogeo.WithDataDir(*dataDir),
-		neogeo.WithCheckpointInterval(*ckptEvery),
 		neogeo.WithCheckpointRetain(*ckptRetain),
 		neogeo.WithShards(*shards),
 		neogeo.WithWorkers(*workers),
@@ -109,6 +99,7 @@ func main() {
 
 	srv := server.New(sys,
 		server.WithDrainInterval(*interval),
+		server.WithCheckpointInterval(*ckptEvery),
 		server.WithDecayInterval(*decayEvery),
 		server.WithDecayFloor(*decayFloor),
 		server.WithSlog(logger),

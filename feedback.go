@@ -30,19 +30,19 @@ const (
 // Feedback is one verdict about one answer result.
 type Feedback struct {
 	// RecordID is the record the answer exposed (Result.ID).
-	RecordID int64
+	RecordID int64 `json:"record_id"`
 	// Verdict is the judgement.
-	Verdict Verdict
+	Verdict Verdict `json:"verdict"`
 	// Field and Value carry a correction's replacement field value
 	// (VerdictCorrect only).
-	Field string
-	Value string
+	Field string `json:"field,omitempty"`
+	Value string `json:"value,omitempty"`
 	// Location carries a correction's replacement location
 	// (VerdictCorrect only).
-	Location *Location
+	Location *Location `json:"location,omitempty"`
 	// Source identifies the user giving feedback; their learned
 	// reliability weights the evidence the verdict contributes.
-	Source string
+	Source string `json:"source,omitempty"`
 }
 
 // FeedbackReceipt acknowledges an accepted verdict.
@@ -55,31 +55,31 @@ type FeedbackReceipt struct {
 type FeedbackStats struct {
 	// Accepted counts verdicts accepted into the ledger by this process;
 	// Replayed counts ledger entries recovered at boot.
-	Accepted int64
-	Replayed int64
+	Accepted int64 `json:"accepted"`
+	Replayed int64 `json:"replayed"`
 	// Applied counts verdicts whose effects reached the store, broken
 	// down by kind in Confirmed/Rejected/Corrected.
-	Applied   int64
-	Confirmed int64
-	Rejected  int64
-	Corrected int64
+	Applied   int64 `json:"applied"`
+	Confirmed int64 `json:"confirmed"`
+	Rejected  int64 `json:"rejected"`
+	Corrected int64 `json:"corrected"`
 	// Pending is the number of buffered verdicts awaiting a batched
 	// apply; Deferred the subset parked until recovery re-integrates
 	// their record.
-	Pending  int
-	Deferred int
+	Pending  int `json:"pending"`
+	Deferred int `json:"deferred"`
 	// DroppedStale counts verdicts whose record was deleted between
 	// accept and apply.
-	DroppedStale int64
+	DroppedStale int64 `json:"dropped_stale"`
 }
 
 // DecayStats is the certainty-ageing totals snapshot.
 type DecayStats struct {
 	// Runs counts decay passes; Decayed and Deleted total the records
 	// aged and dropped across them.
-	Runs    int64
-	Decayed int64
-	Deleted int64
+	Runs    int64 `json:"runs"`
+	Decayed int64 `json:"decayed"`
+	Deleted int64 `json:"deleted"`
 }
 
 // Feedback accepts a user verdict about an answer result and returns
@@ -108,7 +108,7 @@ func (s *System) Feedback(ctx context.Context, fb Feedback) (FeedbackReceipt, er
 		lat, lon := fb.Location.Lat, fb.Location.Lon
 		v.Lat, v.Lon = &lat, &lon
 	}
-	seq, err := s.sys.SubmitFeedback(v)
+	seq, err := s.sys.Feedback.Submit(v)
 	if err != nil {
 		return FeedbackReceipt{}, mapFeedbackErr(err)
 	}
@@ -124,7 +124,7 @@ func (s *System) FlushFeedback(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return s.sys.FlushFeedback(), nil
+	return s.sys.Feedback.Flush(), nil
 }
 
 // mapFeedbackErr rewrites the engine's typed conditions onto the

@@ -144,10 +144,3 @@ func (fs *FactSet) Decode(data []byte, prototypes []Fact) error {
 	}
 	return nil
 }
-
-// Len returns the number of stored facts (tests, diagnostics).
-func (fs *FactSet) Len() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.m)
-}

@@ -44,8 +44,8 @@ func TestFactSetEncodeDecodeRoundTrip(t *testing.T) {
 	if err := back.Decode(data, []Fact{(*markFact)(nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 2 {
-		t.Fatalf("want 2 facts after decode, got %d", back.Len())
+	if len(back.m) != 2 {
+		t.Fatalf("want 2 facts after decode, got %d", len(back.m))
 	}
 	var got markFact
 	if !back.imp(fa, &got) || !got.Marked || got.Note != "a" {
@@ -57,8 +57,8 @@ func TestFactSetEncodeDecodeRoundTrip(t *testing.T) {
 	if err := empty.Decode(data, nil); err != nil {
 		t.Fatal(err)
 	}
-	if empty.Len() != 0 {
-		t.Fatalf("decode with no prototypes should skip everything, got %d", empty.Len())
+	if len(empty.m) != 0 {
+		t.Fatalf("decode with no prototypes should skip everything, got %d", len(empty.m))
 	}
 }
 

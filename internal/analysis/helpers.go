@@ -86,18 +86,3 @@ func NamedType(t types.Type) (pkgPath, name string, ok bool) {
 	}
 	return named.Obj().Pkg().Path(), named.Obj().Name(), true
 }
-
-// WalkStack walks every node in the file, invoking fn with the node
-// and the stack of its ancestors (outermost first, node excluded).
-func WalkStack(f *ast.File, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
-}

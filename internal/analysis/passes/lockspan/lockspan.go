@@ -91,18 +91,6 @@ type Info struct {
 	Regions []*Region
 }
 
-// FuncRegions returns the regions belonging to one *ast.FuncDecl or
-// *ast.FuncLit.
-func (i *Info) FuncRegions(fn ast.Node) []*Region {
-	var out []*Region
-	for _, r := range i.Regions {
-		if r.FnNode == fn {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // InspectStmts walks each leaf statement of a region with ast.Inspect,
 // skipping func-literal subtrees (their bodies do not run under the
 // region's lock at that point).

@@ -45,8 +45,8 @@ func TestDrainConcurrentExactlyOnce(t *testing.T) {
 		}
 		seen[out.MessageID] = true
 	}
-	if c.Queue().Len() != 0 || c.Queue().InFlight() != 0 {
-		t.Fatalf("queue not drained: len=%d inflight=%d", c.Queue().Len(), c.Queue().InFlight())
+	if c.queue.Len() != 0 || c.queue.InFlight() != 0 {
+		t.Fatalf("queue not drained: len=%d inflight=%d", c.queue.Len(), c.queue.InFlight())
 	}
 	// All informative messages merged into the one Axel Hotel record.
 	if db.Len("Hotels") != 1 {
@@ -66,11 +66,11 @@ func TestDrainConcurrentLimit(t *testing.T) {
 	if len(outs)+len(errs) != 4 {
 		t.Fatalf("limit 4: %d outs, %d errs", len(outs), len(errs))
 	}
-	if got := c.Queue().Len(); got != 3 {
+	if got := c.queue.Len(); got != 3 {
 		t.Fatalf("remaining = %d, want 3", got)
 	}
-	if c.Queue().InFlight() != 0 {
-		t.Fatalf("inflight = %d after limited drain", c.Queue().InFlight())
+	if c.queue.InFlight() != 0 {
+		t.Fatalf("inflight = %d after limited drain", c.queue.InFlight())
 	}
 }
 
@@ -96,11 +96,11 @@ func TestDrainConcurrentErrorsDeadLetter(t *testing.T) {
 	if len(errs) == 0 {
 		t.Fatal("no errors reported for the poisoned workflow")
 	}
-	if dead := c.Queue().DeadLetters(); len(dead) != 1 {
+	if dead := c.queue.DeadLetters(); len(dead) != 1 {
 		t.Fatalf("dead letters = %d, want 1", len(dead))
 	}
-	if c.Queue().Len() != 0 || c.Queue().InFlight() != 0 {
-		t.Fatalf("queue not drained: len=%d inflight=%d", c.Queue().Len(), c.Queue().InFlight())
+	if c.queue.Len() != 0 || c.queue.InFlight() != 0 {
+		t.Fatalf("queue not drained: len=%d inflight=%d", c.queue.Len(), c.queue.InFlight())
 	}
 }
 
@@ -152,7 +152,7 @@ func TestSubmitDuringDrainConcurrent(t *testing.T) {
 		errs = append(errs, e...)
 		select {
 		case <-done:
-			if c.Queue().Len() == 0 {
+			if c.queue.Len() == 0 {
 				o, e = drainEach(context.Background(), c, 0)
 				outs = append(outs, o...)
 				errs = append(errs, e...)
@@ -192,9 +192,9 @@ func TestDrainConcurrentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	outs, errs := drainEach(ctx, c, 0)
-	if len(outs)+len(errs)+c.Queue().Len()+c.Queue().InFlight() < 10 {
+	if len(outs)+len(errs)+c.queue.Len()+c.queue.InFlight() < 10 {
 		t.Fatalf("messages lost after cancel: outs=%d errs=%d pending=%d inflight=%d",
-			len(outs), len(errs), c.Queue().Len(), c.Queue().InFlight())
+			len(outs), len(errs), c.queue.Len(), c.queue.InFlight())
 	}
 }
 
@@ -263,11 +263,11 @@ func TestDrainEachEmitPanicReachesCaller(t *testing.T) {
 	if recovered != "consumer bug" {
 		t.Fatalf("recovered %v, want the consumer's panic", recovered)
 	}
-	if n := c.Queue().InFlight(); n != 0 {
+	if n := c.queue.InFlight(); n != 0 {
 		t.Fatalf("in flight after panicking consumer = %d, want 0", n)
 	}
 	// Nothing was lost: the next drain finishes whatever the first left.
-	st := c.Queue().Stats()
+	st := c.queue.Stats()
 	outs, errs := drainEach(context.Background(), c, 0)
 	if len(errs) != 0 || st.Acked+len(outs) != total {
 		t.Fatalf("acked %d + redrained %d (errs %v), want %d", st.Acked, len(outs), errs, total)

@@ -464,6 +464,3 @@ func (c *Coordinator) Signals() []Signal {
 	defer c.mu.Unlock()
 	return append([]Signal(nil), c.signals...)
 }
-
-// Queue exposes the underlying message queue (for monitoring).
-func (c *Coordinator) Queue() *mq.Queue { return c.queue }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mq"
 	"repro/internal/ontology"
 	"repro/internal/qa"
+	"repro/internal/shard"
 	"repro/internal/xmldb"
 )
 
@@ -48,7 +49,11 @@ func newCoordinatorServices(t *testing.T, q *mq.Queue) (*Coordinator, *xmldb.DB)
 	o := ontology.New()
 	o.LoadContainment(g)
 	k := kb.New()
-	db := xmldb.New()
+	store, err := shard.New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := store.Shard(0)
 	ie, err := extract.NewService(k, g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +62,7 @@ func newCoordinatorServices(t *testing.T, q *mq.Queue) (*Coordinator, *xmldb.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := qa.NewService(db, k, g, o)
+	ans, err := qa.NewService(store, k, g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +158,8 @@ func TestWorkflowRequest(t *testing.T) {
 		t.Errorf("query = %q", req.Query)
 	}
 	// Queue fully drained and acknowledged.
-	if c.Queue().Len() != 0 || c.Queue().InFlight() != 0 {
-		t.Errorf("queue not drained: len=%d inflight=%d", c.Queue().Len(), c.Queue().InFlight())
+	if c.queue.Len() != 0 || c.queue.InFlight() != 0 {
+		t.Errorf("queue not drained: len=%d inflight=%d", c.queue.Len(), c.queue.InFlight())
 	}
 }
 
@@ -176,8 +181,8 @@ func TestDrainLimit(t *testing.T) {
 	if len(outs) != 2 || len(errs) != 0 {
 		t.Fatalf("drain(2) = %d outs, %d errs", len(outs), len(errs))
 	}
-	if c.Queue().Len() != 3 {
-		t.Errorf("remaining = %d", c.Queue().Len())
+	if c.queue.Len() != 3 {
+		t.Errorf("remaining = %d", c.queue.Len())
 	}
 }
 

@@ -67,10 +67,6 @@ type Config struct {
 	// the queue WAL replays — messages acknowledged after that image
 	// come back as pending and re-integrate idempotently.
 	DataDir string
-	// CheckpointInterval is the cadence the serving layer's background
-	// loop checkpoints at (0: no periodic checkpoints; explicit
-	// Checkpoint calls still work). The system itself runs no loop.
-	CheckpointInterval time.Duration
 	// CheckpointRetain keeps this many checkpoint files after each
 	// write (default 3).
 	CheckpointRetain int
@@ -160,9 +156,6 @@ type System struct {
 	// tracing is off (Config.TraceRecorder == 0).
 	Recorder *obs.Recorder
 	clock    func() time.Time
-	// ckptInterval is the configured checkpoint cadence the serving
-	// layer reads.
-	ckptInterval time.Duration
 	// decayMu guards the cumulative decay counters.
 	decayMu    sync.Mutex
 	decayStats DecayStats
@@ -209,7 +202,7 @@ func New(cfg Config) (*System, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	s.Store, err = shard.New(shards, nil)
+	s.Store, err = shard.New(shards)
 	if err != nil {
 		return nil, fmt.Errorf("core: building sharded store: %w", err)
 	}
@@ -257,7 +250,6 @@ func New(cfg Config) (*System, error) {
 			recoveredLSN = info.LSN
 		}
 	}
-	s.ckptInterval = cfg.CheckpointInterval
 
 	// The feedback ledger replays independently of the queue WAL:
 	// verdicts accepted after the restored image's watermark are parked
@@ -504,77 +496,18 @@ func (s *System) DecayStats() DecayStats {
 	return s.decayStats
 }
 
-// SubmitFeedback validates a user verdict about an answer result,
-// appends it durably to the feedback ledger and buffers it on its
-// record's home-shard lane; the apply happens asynchronously in batches
-// (FlushFeedback, or automatically once a lane holds a full batch). The
-// returned sequence number identifies the verdict in the ledger.
-func (s *System) SubmitFeedback(v feedback.Verdict) (int64, error) {
-	return s.Feedback.Submit(v)
-}
-
-// FlushFeedback applies every buffered verdict — one amortized database
-// batch per home shard, shards in parallel — and returns how many were
-// applied. The serving layer calls it from its background loop.
-func (s *System) FlushFeedback() int {
-	return s.Feedback.Flush()
-}
-
-// FeedbackStats returns the feedback engine's counters.
-func (s *System) FeedbackStats() feedback.Stats {
-	return s.Feedback.Stats()
-}
-
-// Subscribe registers a standing query with the broadcaster and returns
-// its ID. The subscription starts matching immediately; attach a
-// consumer with AttachSubscription to receive events.
-func (s *System) Subscribe(spec readpath.Subscription) (string, error) {
-	return s.Broker.Subscribe(spec)
-}
-
-// Unsubscribe removes a standing query and closes its event channel.
-func (s *System) Unsubscribe(id string) error {
-	return s.Broker.Unsubscribe(id)
-}
-
-// AttachSubscription claims a subscription's event stream for a single
-// consumer. The release function must be called when the consumer is
-// done so a later attach can claim it.
-func (s *System) AttachSubscription(id string) (<-chan readpath.Event, func(), error) {
-	return s.Broker.Attach(id)
-}
-
-// SubscriptionInfo describes one registered standing query.
-func (s *System) SubscriptionInfo(id string) (readpath.SubscriptionInfo, error) {
-	return s.Broker.Info(id)
-}
-
-// Stats is a system snapshot.
+// Stats is a snapshot of what the system itself sizes — the gazetteer
+// and the store's layout. Component counters are read off the exported
+// components (Queue, Feedback, Broker, Cache, Recorder).
 type Stats struct {
 	GazetteerEntries int
 	GazetteerNames   int
-	QueuePending     int
-	QueueInFlight    int
 	// Collections counts records per collection across all shards.
 	Collections map[string]int
 	// Shards is the store's partition count; ShardRecords the total
 	// record count per shard (the balance benchmarks report).
 	Shards       int
 	ShardRecords []int
-	// Feedback is the user-feedback engine's counters.
-	Feedback feedback.Stats
-	// Decay is the cumulative certainty-ageing totals.
-	Decay DecayStats
-	// CacheEnabled says whether the answer cache is configured; Cache
-	// holds its counters (zero value when disabled).
-	CacheEnabled bool
-	Cache        readpath.CacheStats
-	// Subscriptions is the standing-query broadcaster's snapshot.
-	Subscriptions readpath.BrokerStats
-	// TracesEnabled says whether this system installed a flight
-	// recorder; Traces holds its counters (zero value when disabled).
-	TracesEnabled bool
-	Traces        obs.RecorderStats
 }
 
 // Stats returns a snapshot of the system's stores.
@@ -582,22 +515,9 @@ func (s *System) Stats() Stats {
 	st := Stats{
 		GazetteerEntries: s.Gaz.Len(),
 		GazetteerNames:   s.Gaz.NameCount(),
-		QueuePending:     s.Queue.Len(),
-		QueueInFlight:    s.Queue.InFlight(),
 		Collections:      make(map[string]int),
 		Shards:           s.Store.NumShards(),
 		ShardRecords:     s.Store.Balance(),
-		Feedback:         s.Feedback.Stats(),
-		Decay:            s.DecayStats(),
-		Subscriptions:    s.Broker.Stats(),
-	}
-	if s.Cache != nil {
-		st.CacheEnabled = true
-		st.Cache = s.Cache.Stats()
-	}
-	if s.Recorder != nil {
-		st.TracesEnabled = true
-		st.Traces = s.Recorder.Stats()
 	}
 	for _, c := range s.Store.Collections() {
 		st.Collections[c] = s.Store.Len(c)
@@ -626,12 +546,6 @@ func (s *System) Checkpoint(ctx context.Context) (persist.Info, error) {
 // learned auxiliary state (trust, priors, feedback watermark).
 func (s *System) image() image {
 	return image{store: s.Store, trust: s.KB.Trust(), priors: s.Priors, eng: s.Feedback}
-}
-
-// CheckpointInterval returns the configured periodic-checkpoint cadence
-// (0: none) — what the serving layer's background loop runs at.
-func (s *System) CheckpointInterval() time.Duration {
-	return s.ckptInterval
 }
 
 // CheckpointStats is the durability subsystem's health snapshot.

@@ -160,7 +160,7 @@ func TestStats(t *testing.T) {
 	if st.Collections["Hotels"] != 1 {
 		t.Errorf("collections = %v", st.Collections)
 	}
-	if st.QueuePending != 0 || st.QueueInFlight != 0 {
+	if s.Queue.Len() != 0 || s.Queue.InFlight() != 0 {
 		t.Errorf("queue stats = %+v", st)
 	}
 }

@@ -93,18 +93,18 @@ func TestShardedFeedbackMatchesSingleStore(t *testing.T) {
 	for _, sys := range []*System{single, sharded} {
 		for _, v := range verdicts {
 			id := findRecordByHotel(t, sys, v.hotel)
-			if _, err := sys.SubmitFeedback(feedback.Verdict{
+			if _, err := sys.Feedback.Submit(feedback.Verdict{
 				RecordID: id, Kind: v.kind, Field: v.field, Value: v.value, Source: v.source,
 			}); err != nil {
 				t.Fatalf("feedback %q on %q: %v", v.kind, v.hotel, err)
 			}
 		}
-		if n := sys.FlushFeedback(); n != len(verdicts) {
+		if n := sys.Feedback.Flush(); n != len(verdicts) {
 			t.Fatalf("applied %d verdicts, want %d", n, len(verdicts))
 		}
 	}
 
-	sg, sh := single.FeedbackStats(), sharded.FeedbackStats()
+	sg, sh := single.Feedback.Stats(), sharded.Feedback.Stats()
 	if sg.Applied != sh.Applied || sg.Confirmed != sh.Confirmed ||
 		sg.Rejected != sh.Rejected || sg.Corrected != sh.Corrected {
 		t.Fatalf("feedback stats diverge: single %+v, sharded %+v", sg, sh)
@@ -173,10 +173,10 @@ func TestLearnedStateSurvivesRestart(t *testing.T) {
 		}
 	}
 	id := findRecordByHotel(t, sys, "Axel Hotel")
-	if _, err := sys.SubmitFeedback(feedback.Verdict{RecordID: id, Kind: feedback.KindConfirm, Source: "carol"}); err != nil {
+	if _, err := sys.Feedback.Submit(feedback.Verdict{RecordID: id, Kind: feedback.KindConfirm, Source: "carol"}); err != nil {
 		t.Fatal(err)
 	}
-	if n := sys.FlushFeedback(); n != 1 {
+	if n := sys.Feedback.Flush(); n != 1 {
 		t.Fatalf("applied %d, want 1", n)
 	}
 	wantTrust := sys.KB.Trust().Report()
@@ -187,7 +187,7 @@ func TestLearnedStateSurvivesRestart(t *testing.T) {
 	if len(wantPriors) == 0 {
 		t.Fatal("no priors learned — the confirm did not reinforce")
 	}
-	wantSeq := sys.FeedbackStats().AppliedSeq
+	wantSeq := sys.Feedback.Stats().AppliedSeq
 	if _, err := sys.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestLearnedStateSurvivesRestart(t *testing.T) {
 	if got := restarted.Priors.ExportState(); !reflect.DeepEqual(got, wantPriors) {
 		t.Errorf("priors after restart = %+v\nwant %+v", got, wantPriors)
 	}
-	if got := restarted.FeedbackStats().AppliedSeq; got != wantSeq {
+	if got := restarted.Feedback.Stats().AppliedSeq; got != wantSeq {
 		t.Errorf("feedback watermark after restart = %d, want %d", got, wantSeq)
 	}
 	// And the watermark is honest: the applied verdict does not replay.
-	if n := restarted.FlushFeedback(); n != 0 {
+	if n := restarted.Feedback.Flush(); n != 0 {
 		t.Errorf("restart re-applied %d verdicts covered by the checkpoint", n)
 	}
 }

@@ -110,10 +110,10 @@ func TestCachedAskMatchesUncached(t *testing.T) {
 	}
 	rec := ans.Results[0].Record.ID
 	for _, s := range []*System{plain, cached} {
-		if _, err := s.SubmitFeedback(feedback.Verdict{RecordID: rec, Kind: feedback.KindReject, Source: "carol"}); err != nil {
+		if _, err := s.Feedback.Submit(feedback.Verdict{RecordID: rec, Kind: feedback.KindReject, Source: "carol"}); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.FlushFeedback(); n != 1 {
+		if n := s.Feedback.Flush(); n != 1 {
 			t.Fatalf("flush applied %d verdicts, want 1", n)
 		}
 	}
@@ -213,11 +213,11 @@ func TestStandingQueryStreamsCommits(t *testing.T) {
 	}
 	defer sys.Close()
 
-	id, err := sys.Subscribe(readpath.Subscription{Collection: "Hotels", Key: "Axel Hotel"})
+	id, err := sys.Broker.Subscribe(readpath.Subscription{Collection: "Hotels", Key: "Axel Hotel"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, release, err := sys.AttachSubscription(id)
+	events, release, err := sys.Broker.Attach(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +264,10 @@ func TestStandingQueryStreamsCommits(t *testing.T) {
 		t.Fatalf("merge event record %d, want %d", mrg.RecordID, ins.RecordID)
 	}
 
-	if _, err := sys.SubmitFeedback(feedback.Verdict{RecordID: ins.RecordID, Kind: feedback.KindConfirm, Source: "erin"}); err != nil {
+	if _, err := sys.Feedback.Submit(feedback.Verdict{RecordID: ins.RecordID, Kind: feedback.KindConfirm, Source: "erin"}); err != nil {
 		t.Fatal(err)
 	}
-	if n := sys.FlushFeedback(); n != 1 {
+	if n := sys.Feedback.Flush(); n != 1 {
 		t.Fatalf("flush applied %d, want 1", n)
 	}
 	conf := next("confirmed")
@@ -275,7 +275,7 @@ func TestStandingQueryStreamsCommits(t *testing.T) {
 		t.Errorf("confirmation did not raise certainty: %v -> %v", mrg.Certainty, conf.Certainty)
 	}
 
-	if err := sys.Unsubscribe(id); err != nil {
+	if err := sys.Broker.Unsubscribe(id); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := <-events; ok {
@@ -325,12 +325,12 @@ func TestSubscribeWhileDrainingRace(t *testing.T) {
 				if w%2 == 1 {
 					spec = readpath.Subscription{Center: &geo.Point{Lat: 52.5, Lon: 13.4}, RadiusMeters: 250_000}
 				}
-				id, err := sys.Subscribe(spec)
+				id, err := sys.Broker.Subscribe(spec)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if events, release, err := sys.AttachSubscription(id); err == nil {
+				if events, release, err := sys.Broker.Attach(id); err == nil {
 					// Drain whatever arrived, then let go.
 					for i := 0; i < 4; i++ {
 						select {
@@ -340,7 +340,7 @@ func TestSubscribeWhileDrainingRace(t *testing.T) {
 					}
 					release()
 				}
-				if err := sys.Unsubscribe(id); err != nil {
+				if err := sys.Broker.Unsubscribe(id); err != nil {
 					t.Error(err)
 					return
 				}

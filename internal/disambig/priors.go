@@ -80,13 +80,6 @@ func (p *Priors) Boost(name string, entryID int64) float64 {
 	return 1 + reinforceGain*m/(np.total+reinforceSat)
 }
 
-// Names returns how many distinct names carry learned priors.
-func (p *Priors) Names() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.names)
-}
-
 // PriorsState is the serializable image of the learned priors, carried
 // in store checkpoints so reinforcement survives restarts. Entry IDs are
 // gazetteer IDs, which are deterministic for a fixed gazetteer seed.

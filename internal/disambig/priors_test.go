@@ -107,8 +107,8 @@ func TestPriorsBoostShape(t *testing.T) {
 	p.Reinforce("", 1, 1)
 	p.Reinforce("Paris", 0, 1)
 	p.Reinforce("Paris", 1, -5)
-	if p.Names() != 1 {
-		t.Errorf("invalid reinforcements created names: %d", p.Names())
+	if len(p.names) != 1 {
+		t.Errorf("invalid reinforcements created names: %d", len(p.names))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestPriorsStateRoundTrip(t *testing.T) {
 	if err := q.ImportState(nil); err != nil {
 		t.Fatal(err)
 	}
-	if q.Names() != 0 {
-		t.Errorf("ImportState(nil) left %d names", q.Names())
+	if len(q.names) != 0 {
+		t.Errorf("ImportState(nil) left %d names", len(q.names))
 	}
 }

@@ -42,7 +42,7 @@ func newFixture(t *testing.T, batch int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := shard.New(2, nil)
+	store, err := shard.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,44 +49,3 @@ func CountryByCode(code string) (Country, bool) {
 	}
 	return Country{}, false
 }
-
-// CountryByName returns the country with the given display name
-// (case-insensitive exact match on the table's names).
-func CountryByName(name string) (Country, bool) {
-	for _, c := range Countries {
-		if equalFold(c.Name, name) {
-			return c, true
-		}
-	}
-	return Country{}, false
-}
-
-// CountryContaining returns the first country whose box contains p.
-// Overlapping boxes resolve in table order.
-func CountryContaining(p geo.Point) (Country, bool) {
-	for _, c := range Countries {
-		if c.Box.Contains(p) {
-			return c, true
-		}
-	}
-	return Country{}, false
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
-}

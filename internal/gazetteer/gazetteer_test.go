@@ -197,17 +197,6 @@ func TestCountryTables(t *testing.T) {
 	if _, ok := CountryByCode("XX"); ok {
 		t.Error("unknown code found")
 	}
-	c, ok = CountryByName("germany")
-	if !ok || c.Code != "DE" {
-		t.Errorf("CountryByName = %+v", c)
-	}
-	c, ok = CountryContaining(geo.Point{Lat: 52.52, Lon: 13.405})
-	if !ok || c.Code != "DE" {
-		t.Errorf("CountryContaining(Berlin) = %+v", c)
-	}
-	if _, ok := CountryContaining(geo.Point{Lat: 0, Lon: -150}); ok {
-		t.Error("mid-Pacific point contained")
-	}
 	// Every country box must validate.
 	for _, c := range Countries {
 		if err := c.Box.Validate(); err != nil {

@@ -221,17 +221,6 @@ func (k *KB) RuleCF(rule string) uncertain.CF {
 	return k.ruleCF[rule]
 }
 
-// SetRuleCF updates a rule reliability.
-func (k *KB) SetRuleCF(rule string, cf uncertain.CF) error {
-	if err := cf.Validate(); err != nil {
-		return err
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.ruleCF[rule] = cf
-	return nil
-}
-
 // Trust exposes the source-trust model shared by extraction and
 // integration.
 func (k *KB) Trust() *uncertain.TrustModel {
@@ -244,20 +233,6 @@ func (k *KB) DecayPerDay() float64 {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	return k.decayday
-}
-
-// AddSeed appends a labelled training text.
-func (k *KB) AddSeed(label, txt string) error {
-	if label != LabelInformative && label != LabelRequest {
-		return fmt.Errorf("kb: unknown seed label %q", label)
-	}
-	if txt == "" {
-		return fmt.Errorf("kb: empty seed text")
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.seeds = append(k.seeds, Seed{Label: label, Text: txt})
-	return nil
 }
 
 // Seeds returns the training corpus.

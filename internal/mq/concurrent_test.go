@@ -25,7 +25,7 @@ func TestConcurrentEnqueueDequeueAckExactlyOnce(t *testing.T) {
 		go func(p int) {
 			defer prodWG.Done()
 			for i := 0; i < perProducer; i++ {
-				if _, err := q.Enqueue(fmt.Sprintf("msg p%d i%d", p, i), "src"); err != nil {
+				if _, err := q.EnqueueTraced(fmt.Sprintf("msg p%d i%d", p, i), "src", ""); err != nil {
 					t.Errorf("enqueue: %v", err)
 					return
 				}
@@ -92,7 +92,7 @@ func TestConcurrentNackRedelivery(t *testing.T) {
 	const total = 300
 	q := New(WithMaxAttempts(10))
 	for i := 0; i < total; i++ {
-		if _, err := q.Enqueue(fmt.Sprintf("msg %d", i), "src"); err != nil {
+		if _, err := q.EnqueueTraced(fmt.Sprintf("msg %d", i), "src", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestAckBatch(t *testing.T) {
 	q := New()
 	var ids []int64
 	for i := 0; i < 10; i++ {
-		id, err := q.Enqueue(fmt.Sprintf("msg %d", i), "src")
+		id, err := q.EnqueueTraced(fmt.Sprintf("msg %d", i), "src", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestAckBatch(t *testing.T) {
 	}
 	// Unknown IDs are reported but do not poison the batch, and the
 	// partial success names which IDs really were acknowledged.
-	id, err := q.Enqueue("one more", "src")
+	id, err := q.EnqueueTraced("one more", "src", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +210,13 @@ func TestAckBatchWALDurability(t *testing.T) {
 	}
 	var ids []int64
 	for i := 0; i < 5; i++ {
-		id, err := q.Enqueue(fmt.Sprintf("msg %d", i), "src")
+		id, err := q.EnqueueTraced(fmt.Sprintf("msg %d", i), "src", "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	keep, err := q.Enqueue("survivor", "src")
+	keep, err := q.EnqueueTraced("survivor", "src", "")
 	if err != nil {
 		t.Fatal(err)
 	}

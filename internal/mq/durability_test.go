@@ -21,7 +21,7 @@ func TestTornWriteTruncatedBeforeAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := q.Enqueue("first", "a"); err != nil {
+		if _, err := q.EnqueueTraced("first", "a", ""); err != nil {
 			t.Fatal(err)
 		}
 		q.Close()
@@ -40,7 +40,7 @@ func TestTornWriteTruncatedBeforeAppend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("torn wal rejected: %v", err)
 		}
-		if _, err := q2.Enqueue("second", "b"); err != nil {
+		if _, err := q2.EnqueueTraced("second", "b", ""); err != nil {
 			t.Fatal(err)
 		}
 		q2.Close()
@@ -71,10 +71,10 @@ func TestDeadLetterSurvivesWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue("poison message", "mallory"); err != nil {
+	if _, err := q.EnqueueTraced("poison message", "mallory", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue("good message", "alice"); err != nil {
+	if _, err := q.EnqueueTraced("good message", "alice", ""); err != nil {
 		t.Fatal(err)
 	}
 	m, ok := q.Dequeue()
@@ -136,7 +136,7 @@ func TestLSNAdvancesPerEntry(t *testing.T) {
 		t.Fatalf("fresh LSN = %d", got)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := q.Enqueue("m", "src"); err != nil {
+		if _, err := q.EnqueueTraced("m", "src", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestReplayAckedAfterCheckpointLSN(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, body := range []string{"first", "second", "third"} {
-		if _, err := q.Enqueue(body, "src"); err != nil {
+		if _, err := q.EnqueueTraced(body, "src", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,10 +236,10 @@ func TestReplayAckedAfterSkipsDeadLetters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue("poison", "mallory"); err != nil {
+	if _, err := q.EnqueueTraced("poison", "mallory", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue("fine", "alice"); err != nil {
+	if _, err := q.EnqueueTraced("fine", "alice", ""); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := q.Dequeue()

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// ErrClosed is returned by Enqueue after Close: the queue no longer
+// ErrClosed is returned by EnqueueTraced after Close: the queue no longer
 // accepts new messages (its WAL handle is gone), so callers can branch on
 // the condition instead of matching error strings.
 var ErrClosed = errors.New("mq: queue closed")
@@ -201,15 +201,10 @@ func (q *Queue) Close() error {
 	return nil
 }
 
-// Enqueue adds a message and returns its ID. After Close it returns
-// ErrClosed.
-func (q *Queue) Enqueue(body, source string) (int64, error) {
-	return q.EnqueueTraced(body, source, "")
-}
-
-// EnqueueTraced adds a message carrying a trace ID, which is persisted
-// in the envelope (and the WAL) so observability follows the message
-// across the queue hop and replay.
+// EnqueueTraced adds a message and returns its ID; after Close it
+// returns ErrClosed. The trace ID (empty: untraced) is persisted in the
+// envelope (and the WAL) so observability follows the message across the
+// queue hop and replay.
 func (q *Queue) EnqueueTraced(body, source, trace string) (int64, error) {
 	if body == "" {
 		return 0, fmt.Errorf("mq: empty message body")

@@ -16,7 +16,7 @@ func openAppend(path string) (*os.File, error) {
 func TestEnqueueDequeueFIFO(t *testing.T) {
 	q := New()
 	for i := 0; i < 3; i++ {
-		if _, err := q.Enqueue(fmt.Sprintf("msg-%d", i), "alice"); err != nil {
+		if _, err := q.EnqueueTraced(fmt.Sprintf("msg-%d", i), "alice", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,14 +42,14 @@ func TestEnqueueDequeueFIFO(t *testing.T) {
 
 func TestEnqueueValidation(t *testing.T) {
 	q := New()
-	if _, err := q.Enqueue("", "x"); err == nil {
+	if _, err := q.EnqueueTraced("", "x", ""); err == nil {
 		t.Error("empty body accepted")
 	}
 }
 
 func TestAckNackSemantics(t *testing.T) {
 	q := New()
-	id, err := q.Enqueue("hello", "bob")
+	id, err := q.EnqueueTraced("hello", "bob", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestVisibilityTimeoutRedelivery(t *testing.T) {
 		WithVisibility(10*time.Second),
 		WithClock(func() time.Time { return now }),
 	)
-	if _, err := q.Enqueue("lost message", "carol"); err != nil {
+	if _, err := q.EnqueueTraced("lost message", "carol", ""); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := q.Dequeue()
@@ -102,7 +102,7 @@ func TestVisibilityTimeoutRedelivery(t *testing.T) {
 
 func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 	q := New(WithMaxAttempts(2))
-	id, err := q.Enqueue("poison", "dave")
+	id, err := q.EnqueueTraced("poison", "dave", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 
 func TestTag(t *testing.T) {
 	q := New()
-	id, _ := q.Enqueue("is this a question?", "eve")
+	id, _ := q.EnqueueTraced("is this a question?", "eve", "")
 	if err := q.Tag(id, "request"); err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +146,14 @@ func TestWALPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue("first", "a"); err != nil {
+	if _, err := q.EnqueueTraced("first", "a", ""); err != nil {
 		t.Fatal(err)
 	}
-	id2, err := q.Enqueue("second", "b")
+	id2, err := q.EnqueueTraced("second", "b", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue("third", "c"); err != nil {
+	if _, err := q.EnqueueTraced("third", "c", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Ack the second message only.
@@ -197,7 +197,7 @@ func TestWALPersistence(t *testing.T) {
 		t.Errorf("recovered bodies = %v", bodies)
 	}
 	// IDs keep increasing after recovery.
-	id4, err := q2.Enqueue("fourth", "d")
+	id4, err := q2.EnqueueTraced("fourth", "d", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestWALTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue("ok", "a"); err != nil {
+	if _, err := q.EnqueueTraced("ok", "a", ""); err != nil {
 		t.Fatal(err)
 	}
 	q.Close()
@@ -244,7 +244,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				if _, err := q.Enqueue(fmt.Sprintf("p%d-m%d", p, i), "src"); err != nil {
+				if _, err := q.EnqueueTraced(fmt.Sprintf("p%d-m%d", p, i), "src", ""); err != nil {
 					t.Error(err)
 				}
 			}
@@ -285,7 +285,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 func TestStatsSnapshot(t *testing.T) {
 	q := New(WithMaxAttempts(1))
 	for i := 0; i < 4; i++ {
-		if _, err := q.Enqueue(fmt.Sprintf("msg-%d", i), "alice"); err != nil {
+		if _, err := q.EnqueueTraced(fmt.Sprintf("msg-%d", i), "alice", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func TestStatsSurvivesWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := q.Enqueue(fmt.Sprintf("msg-%d", i), "alice"); err != nil {
+		if _, err := q.EnqueueTraced(fmt.Sprintf("msg-%d", i), "alice", ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -194,31 +194,6 @@ func (o *Ontology) Ancestors(name string) []string {
 	return out
 }
 
-// WordEvokes reports whether the word's concept is (a kind of) the given
-// ancestor — "does 'inn' talk about lodging?".
-func (o *Ontology) WordEvokes(word, ancestor string) bool {
-	c, ok := o.ConceptOf(word)
-	if !ok {
-		return false
-	}
-	return o.IsA(c, ancestor)
-}
-
-// SetContainment records that a place name lies in the given country code.
-func (o *Ontology) SetContainment(place, countryCode string) error {
-	norm := text.NormalizeName(place)
-	if norm == "" {
-		return fmt.Errorf("ontology: empty place name")
-	}
-	if _, ok := gazetteer.CountryByCode(countryCode); !ok {
-		return fmt.Errorf("ontology: unknown country code %q", countryCode)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.contains[norm] = countryCode
-	return nil
-}
-
 // CountryOf returns the containing country code recorded for a place.
 func (o *Ontology) CountryOf(place string) (string, bool) {
 	o.mu.RLock()

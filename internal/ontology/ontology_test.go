@@ -44,8 +44,9 @@ func TestLexicon(t *testing.T) {
 		{"xyzzy", "place", false},
 	}
 	for _, c := range cases {
-		if got := o.WordEvokes(c.word, c.ancestor); got != c.want {
-			t.Errorf("WordEvokes(%q, %q) = %v, want %v", c.word, c.ancestor, got, c.want)
+		concept, ok := o.ConceptOf(c.word)
+		if got := ok && o.IsA(concept, c.ancestor); got != c.want {
+			t.Errorf("%q evokes %q = %v, want %v", c.word, c.ancestor, got, c.want)
 		}
 	}
 }
@@ -97,21 +98,20 @@ func TestAncestors(t *testing.T) {
 }
 
 func TestContainment(t *testing.T) {
-	o := New()
-	if err := o.SetContainment("Berlin", "DE"); err != nil {
+	g := gazetteer.New()
+	if _, err := g.Add(gazetteer.Entry{
+		Name: "Berlin", Location: geo.Point{Lat: 52.52, Lon: 13.40},
+		Feature: gazetteer.FeatureCity, Country: "DE", Population: 3700000,
+	}); err != nil {
 		t.Fatal(err)
 	}
+	o := New()
+	o.LoadContainment(g)
 	if c, ok := o.CountryOf("berlin"); !ok || c != "DE" {
 		t.Errorf("CountryOf = %q, %v", c, ok)
 	}
 	if _, ok := o.CountryOf("atlantis"); ok {
 		t.Error("unknown place contained")
-	}
-	if err := o.SetContainment("X", "ZZ"); err == nil {
-		t.Error("unknown country accepted")
-	}
-	if err := o.SetContainment("", "DE"); err == nil {
-		t.Error("empty place accepted")
 	}
 }
 

@@ -166,9 +166,6 @@ func NewManager(dir string, opts ...Option) (*Manager, error) {
 	return m, nil
 }
 
-// Dir returns the manager's data directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // Stats returns the manager's health snapshot.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
@@ -181,23 +178,17 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// Checkpoint writes one checkpoint of s, tagged with the queue WAL's
-// lsn, and returns its Info. The write is atomic: the snapshot lands in
-// a temp file that is fsynced and renamed into place before the
-// manifest (also atomically replaced) points at it, so a crash at any
-// instant leaves the previous checkpoint authoritative. Old checkpoints
-// beyond the retention count are pruned afterwards.
-func (m *Manager) Checkpoint(s Snapshotter, lsn int64) (Info, error) {
-	//lint:ignore ctxflow compat wrapper for ctx-less callers; CheckpointContext is the cancellable path
-	return m.CheckpointContext(context.Background(), s, lsn)
-}
-
 // spanCheckpoint names the durability span (a bounded constant).
 const spanCheckpoint = "checkpoint"
 
-// CheckpointContext is Checkpoint carrying the caller's context so the
-// write appears as a span on the request or background timeline that
-// triggered it, annotated with the image size and WAL position.
+// CheckpointContext writes one checkpoint of s, tagged with the queue
+// WAL's lsn, and returns its Info. The write is atomic: the snapshot lands
+// in a temp file that is fsynced and renamed into place before the
+// manifest (also atomically replaced) points at it, so a crash at any
+// instant leaves the previous checkpoint authoritative. Old checkpoints
+// beyond the retention count are pruned afterwards. The write appears as
+// a span on the request or background timeline ctx carries, annotated
+// with the image size and WAL position.
 func (m *Manager) CheckpointContext(ctx context.Context, s Snapshotter, lsn int64) (Info, error) {
 	_, sp := obs.StartSpan(ctx, spanCheckpoint)
 	start := time.Now()

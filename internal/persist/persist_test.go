@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -48,7 +49,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, dir)
 
-	info, err := m.Checkpoint(&blobStore{state: "v1"}, 42)
+	info, err := m.CheckpointContext(context.Background(), &blobStore{state: "v1"}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %q, info %+v", got.state, rec)
 	}
 	// Sequence numbering resumes past the recovered checkpoint.
-	info2, err := m2.Checkpoint(&blobStore{state: "v2"}, 99)
+	info2, err := m2.CheckpointContext(context.Background(), &blobStore{state: "v2"}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +128,10 @@ func TestRecoverSkipsCorruptNewest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			m := newTestManager(t, dir)
-			if _, err := m.Checkpoint(&blobStore{state: "old"}, 10); err != nil {
+			if _, err := m.CheckpointContext(context.Background(), &blobStore{state: "old"}, 10); err != nil {
 				t.Fatal(err)
 			}
-			newest, err := m.Checkpoint(&blobStore{state: "new"}, 20)
+			newest, err := m.CheckpointContext(context.Background(), &blobStore{state: "new"}, 20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,10 +158,10 @@ func TestRecoverSkipsCorruptNewest(t *testing.T) {
 func TestRecoverScanWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, dir)
-	if _, err := m.Checkpoint(&blobStore{state: "v1"}, 1); err != nil {
+	if _, err := m.CheckpointContext(context.Background(), &blobStore{state: "v1"}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Checkpoint(&blobStore{state: "v2"}, 2); err != nil {
+	if _, err := m.CheckpointContext(context.Background(), &blobStore{state: "v2"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
@@ -184,10 +185,10 @@ func TestRecoverScanWithoutManifest(t *testing.T) {
 func TestRecoverManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, dir)
-	if _, err := m.Checkpoint(&blobStore{state: "v1"}, 5); err != nil {
+	if _, err := m.CheckpointContext(context.Background(), &blobStore{state: "v1"}, 5); err != nil {
 		t.Fatal(err)
 	}
-	info, err := m.Checkpoint(&blobStore{state: "v2"}, 6)
+	info, err := m.CheckpointContext(context.Background(), &blobStore{state: "v2"}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestRetentionPrunesOldCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, dir, WithRetain(2))
 	for i := 1; i <= 5; i++ {
-		if _, err := m.Checkpoint(&blobStore{state: fmt.Sprintf("v%d", i)}, int64(i)); err != nil {
+		if _, err := m.CheckpointContext(context.Background(), &blobStore{state: fmt.Sprintf("v%d", i)}, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +269,7 @@ func TestStaleTempCleaned(t *testing.T) {
 	if rec, err := m.Recover(&got); err != nil || rec != nil {
 		t.Fatalf("recover = %+v, %v; want nothing", rec, err)
 	}
-	if _, err := m.Checkpoint(&blobStore{state: "v1"}, 1); err != nil {
+	if _, err := m.CheckpointContext(context.Background(), &blobStore{state: "v1"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -279,7 +280,7 @@ func TestStaleTempCleaned(t *testing.T) {
 func TestClockStampsCreated(t *testing.T) {
 	now := time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
 	m := newTestManager(t, t.TempDir(), WithClock(func() time.Time { return now }))
-	info, err := m.Checkpoint(&blobStore{state: "v"}, 0)
+	info, err := m.CheckpointContext(context.Background(), &blobStore{state: "v"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,18 +31,10 @@ var (
 	qaRank       = mQAStageSeconds.With("rank")
 )
 
-// Store is the query surface QA needs from the database. Both the
-// single *xmldb.DB and the sharded *shard.Store satisfy it, so answers
-// transparently fan out across shards in a partitioned deployment.
+// Store is the query surface QA needs from the database: the sharded
+// *shard.Store, which fans the query out and records one child span per
+// shard on the request's timeline.
 type Store interface {
-	Run(query string) ([]xmldb.Result, error)
-}
-
-// ContextStore is the optional context-aware upgrade of Store (the
-// fs.ReadDirFS pattern): a store that also implements RunContext gets
-// the request context, so per-shard child spans land on the request's
-// timeline. Answer type-asserts and prefers it.
-type ContextStore interface {
 	RunContext(ctx context.Context, query string) ([]xmldb.Result, error)
 }
 
@@ -104,9 +96,7 @@ type request struct {
 }
 
 // Answer answers a request-message extraction. The store query and the
-// rank/generate half each get a span on the request timeline; a store
-// implementing ContextStore additionally records one child span per
-// shard it fans out to.
+// rank/generate half each get a span on the request timeline.
 func (s *Service) Answer(ctx context.Context, ex *extract.Extraction) (Answer, error) {
 	if ex == nil {
 		return Answer{}, fmt.Errorf("qa: nil extraction")
@@ -120,13 +110,7 @@ func (s *Service) Answer(ctx context.Context, ex *extract.Extraction) (Answer, e
 	query := s.formulate(req)
 	runCtx, runSpan := obs.StartSpan(ctx, spanStoreQuery)
 	runStart := time.Now()
-	var results []xmldb.Result
-	var err error
-	if cs, ok := s.db.(ContextStore); ok {
-		results, err = cs.RunContext(runCtx, query)
-	} else {
-		results, err = s.db.Run(query)
-	}
+	results, err := s.db.RunContext(runCtx, query)
 	qaStoreQuery.Since(runStart)
 	runSpan.SetInt("candidates", len(results))
 	runSpan.SetError(err)

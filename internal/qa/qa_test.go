@@ -12,6 +12,7 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/kb"
 	"repro/internal/ontology"
+	"repro/internal/shard"
 	"repro/internal/xmldb"
 )
 
@@ -29,7 +30,11 @@ var t0 = time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	w := &world{gaz: gazetteer.New(), kb: kb.New(), db: xmldb.New()}
+	store, err := shard.New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &world{gaz: gazetteer.New(), kb: kb.New(), db: store.Shard(0)}
 	add := func(name string, lat, lon float64, country string, pop int64) {
 		t.Helper()
 		if _, err := w.gaz.Add(gazetteer.Entry{
@@ -45,14 +50,13 @@ func newWorld(t *testing.T) *world {
 	add("Nairobi", -1.29, 36.82, "KE", 4_400_000)
 	w.ont = ontology.New()
 	w.ont.LoadContainment(w.gaz)
-	var err error
 	if w.ie, err = extract.NewService(w.kb, w.gaz, w.ont); err != nil {
 		t.Fatal(err)
 	}
 	if w.di, err = integrate.NewService(w.kb, w.db); err != nil {
 		t.Fatal(err)
 	}
-	if w.qa, err = NewService(w.db, w.kb, w.gaz, w.ont); err != nil {
+	if w.qa, err = NewService(store, w.kb, w.gaz, w.ont); err != nil {
 		t.Fatal(err)
 	}
 	return w

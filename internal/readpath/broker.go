@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,8 +207,8 @@ func (b *Broker) shardsFor(spec Subscription) []int {
 		// entity's records can be anywhere.
 		return allShards(n)
 	}
-	if gr, ok := b.store.Router().(*shard.GridRouter); ok && b.store.Drift() == 0 {
-		return gr.CoverShards(*spec.Center, spec.RadiusMeters)
+	if b.store.Drift() == 0 {
+		return b.store.Router().CoverShards(*spec.Center, spec.RadiusMeters)
 	}
 	return allShards(n)
 }
@@ -429,18 +428,6 @@ func (b *Broker) Stats() BrokerStats {
 // write lanes' cheap pre-check before fetching records for publication.
 func (b *Broker) ActiveOn(shardIdx int) bool {
 	return shardIdx >= 0 && shardIdx < len(b.perShard) && b.perShard[shardIdx].Load() > 0
-}
-
-// IDs returns every active subscription ID, sorted (tests, debugging).
-func (b *Broker) IDs() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.subs))
-	for id := range b.subs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close cancels every subscription and refuses further registrations;

@@ -29,10 +29,6 @@ func TouchedShards(query string, st *shard.Store) []int {
 	if st.NumShards() == 1 {
 		return nil
 	}
-	gr, ok := st.Router().(*shard.GridRouter)
-	if !ok {
-		return nil
-	}
 	if st.Drift() != 0 {
 		return nil
 	}
@@ -48,7 +44,7 @@ func TouchedShards(query string, st *shard.Store) []int {
 	if err != nil {
 		return nil
 	}
-	cover := gr.CoverShards(center, near.RadiusMeters)
+	cover := st.Router().CoverShards(center, near.RadiusMeters)
 	if len(cover) >= st.NumShards() {
 		return nil
 	}

@@ -115,7 +115,7 @@ func hotelRecord(id int64, name string, loc *geo.Point) *xmldb.Record {
 
 func newTestStore(t *testing.T, shards int) *shard.Store {
 	t.Helper()
-	st, err := shard.New(shards, nil)
+	st, err := shard.New(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +361,7 @@ func TestTouchedShards(t *testing.T) {
 
 func TestCoverShardsContainsCircleRecords(t *testing.T) {
 	st := newTestStore(t, 8)
-	gr, ok := st.Router().(*shard.GridRouter)
-	if !ok {
-		t.Fatal("default multi-shard router is not a GridRouter")
-	}
+	gr := st.Router()
 	center := geo.Point{Lat: 52.5, Lon: 13.4}
 	const radius = 100_000
 	cover := gr.CoverShards(center, radius)

@@ -33,6 +33,11 @@ type fakeSystem struct {
 	unsubErr     error
 	subIDs       []string
 	unsubIDs     []string
+
+	// lastFeedback and lastSub record what the handlers decoded, so wire
+	// tests can assert the request bodies arrive intact.
+	lastFeedback neogeo.Feedback
+	lastSub      neogeo.Subscription
 }
 
 func (f *fakeSystem) Submit(ctx context.Context, body, source string) (int64, error) {
@@ -80,8 +85,6 @@ func (f *fakeSystem) Checkpoint(ctx context.Context) (neogeo.CheckpointInfo, err
 	return neogeo.CheckpointInfo{Seq: f.ckptSeq, Bytes: 128}, nil
 }
 
-func (f *fakeSystem) CheckpointInterval() time.Duration { return 0 }
-
 func (f *fakeSystem) Decay(now time.Time, floor float64) (int, int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -96,6 +99,7 @@ func (f *fakeSystem) Feedback(ctx context.Context, fb neogeo.Feedback) (neogeo.F
 		return neogeo.FeedbackReceipt{}, f.feedbackErr
 	}
 	f.feedbackSeq++
+	f.lastFeedback = fb
 	return neogeo.FeedbackReceipt{Seq: f.feedbackSeq}, nil
 }
 
@@ -113,6 +117,7 @@ func (f *fakeSystem) Subscribe(ctx context.Context, sub neogeo.Subscription) (st
 		return "", f.subscribeErr
 	}
 	id := "sub1"
+	f.lastSub = sub
 	f.subIDs = append(f.subIDs, id)
 	return id, nil
 }

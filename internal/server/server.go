@@ -24,9 +24,9 @@
 // that periodically drains the queue through the concurrent pipeline via
 // the facade's streaming iterator; accepted feedback verdicts apply in
 // batches on the same cadence. Run also hosts the durability loop —
-// periodic checkpoints of the integrated store when the system was built
-// with a data directory — and an optional certainty-decay loop ageing
-// stored records.
+// periodic checkpoints of the integrated store (WithCheckpointInterval,
+// on a system built with a data directory) — and an optional
+// certainty-decay loop ageing stored records.
 package server
 
 import (
@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"log/slog"
 	"net/http"
@@ -56,7 +57,6 @@ type System interface {
 	Stats() neogeo.Stats
 	Drain(ctx context.Context, limit int) iter.Seq2[*neogeo.Outcome, error]
 	Checkpoint(ctx context.Context) (neogeo.CheckpointInfo, error)
-	CheckpointInterval() time.Duration
 	Decay(now time.Time, floor float64) (decayed, deleted int, err error)
 	Feedback(ctx context.Context, fb neogeo.Feedback) (neogeo.FeedbackReceipt, error)
 	FlushFeedback(ctx context.Context) (int, error)
@@ -69,9 +69,7 @@ type System interface {
 type Server struct {
 	sys           System
 	drainInterval time.Duration
-	// ckptInterval is the periodic-checkpoint cadence (0: none). It
-	// defaults to what the system was built with (WithCheckpointInterval
-	// on the facade) and can be overridden per server.
+	// ckptInterval is the periodic-checkpoint cadence (0: none).
 	ckptInterval time.Duration
 	// decayInterval/decayFloor run the certainty-ageing loop (0: off).
 	decayInterval time.Duration
@@ -104,9 +102,9 @@ func WithDrainInterval(d time.Duration) Option {
 	return func(s *Server) { s.drainInterval = d }
 }
 
-// WithCheckpointInterval overrides the periodic-checkpoint cadence Run
-// uses (default: the system's own CheckpointInterval; 0 disables the
-// loop, leaving only POST /v1/checkpoint and shutdown checkpoints).
+// WithCheckpointInterval makes Run checkpoint the store every d
+// (default 0: no loop, leaving only POST /v1/checkpoint and shutdown
+// checkpoints). Meaningful only on a system built with a data directory.
 func WithCheckpointInterval(d time.Duration) Option {
 	return func(s *Server) { s.ckptInterval = d }
 }
@@ -150,7 +148,6 @@ func New(sys System, opts ...Option) *Server {
 	s := &Server{
 		sys:           sys,
 		drainInterval: 250 * time.Millisecond,
-		ckptInterval:  sys.CheckpointInterval(),
 		decayFloor:    0.05,
 		stallAfter:    5 * time.Second,
 		heartbeat:     15 * time.Second,
@@ -443,8 +440,8 @@ type askRequest struct {
 // askResponse wraps the structured answer; Trace is present only in
 // explain mode, so a plain response's bytes never change.
 type askResponse struct {
-	Answer answerJSON `json:"answer"`
-	Trace  *traceJSON `json:"trace,omitempty"`
+	Answer neogeo.Answer `json:"answer"`
+	Trace  *traceJSON    `json:"trace,omitempty"`
 }
 
 // traceJSON is the explain-mode breakdown: the trace ID (fetchable via
@@ -454,26 +451,6 @@ type traceJSON struct {
 	TraceID   string        `json:"trace_id"`
 	Recorded  bool          `json:"recorded"`
 	Breakdown *obs.SpanView `json:"breakdown"`
-}
-
-// answerJSON mirrors neogeo.Answer on the wire.
-type answerJSON struct {
-	Text    string       `json:"text"`
-	Query   string       `json:"query"`
-	Results []resultJSON `json:"results"`
-}
-
-type resultJSON struct {
-	ID        int64             `json:"id"`
-	Certainty float64           `json:"certainty"`
-	CondP     float64           `json:"cond_p"`
-	Location  *locationJSON     `json:"location,omitempty"`
-	Fields    map[string]string `json:"fields"`
-}
-
-type locationJSON struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
 }
 
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
@@ -513,13 +490,9 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.internalError(w, r, "ask", err)
 		return
 	}
-	resp := askResponse{Answer: answerJSON{Text: ans.Text, Query: ans.Query, Results: []resultJSON{}}}
-	for _, res := range ans.Results {
-		rj := resultJSON{ID: res.ID, Certainty: res.Certainty, CondP: res.CondP, Fields: res.Fields}
-		if res.Location != nil {
-			rj.Location = &locationJSON{Lat: res.Location.Lat, Lon: res.Location.Lon}
-		}
-		resp.Answer.Results = append(resp.Answer.Results, rj)
+	resp := askResponse{Answer: *ans}
+	if resp.Answer.Results == nil {
+		resp.Answer.Results = []neogeo.Result{} // "results": [], never null
 	}
 	if explain != nil {
 		resp.Trace = &traceJSON{
@@ -531,16 +504,6 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// feedbackRequest is the POST /v1/feedback body.
-type feedbackRequest struct {
-	RecordID int64         `json:"record_id"`
-	Verdict  string        `json:"verdict"`
-	Field    string        `json:"field,omitempty"`
-	Value    string        `json:"value,omitempty"`
-	Location *locationJSON `json:"location,omitempty"`
-	Source   string        `json:"source,omitempty"`
-}
-
 // feedbackResponse acknowledges an accepted verdict. Status "accepted"
 // says the verdict is durably logged and will apply within one drain
 // interval; the effects are not yet visible.
@@ -550,21 +513,11 @@ type feedbackResponse struct {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req feedbackRequest
+	var req neogeo.Feedback // the POST /v1/feedback body
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	fb := neogeo.Feedback{
-		RecordID: req.RecordID,
-		Verdict:  neogeo.Verdict(req.Verdict),
-		Field:    req.Field,
-		Value:    req.Value,
-		Source:   req.Source,
-	}
-	if req.Location != nil {
-		fb.Location = &neogeo.Location{Lat: req.Location.Lat, Lon: req.Location.Lon}
-	}
-	receipt, err := s.sys.Feedback(r.Context(), fb)
+	receipt, err := s.sys.Feedback(r.Context(), req)
 	if err != nil {
 		switch {
 		case errors.Is(err, neogeo.ErrInvalidFeedback):
@@ -643,101 +596,21 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the GET /v1/stats body.
 type statsResponse struct {
-	Gazetteer   gazetteerJSON  `json:"gazetteer"`
-	Queue       queueJSON      `json:"queue"`
-	Collections map[string]int `json:"collections"`
-	Shards      shardsJSON     `json:"shards"`
-	Checkpoint  checkpointJSON `json:"checkpoint"`
-	Feedback    feedbackJSON   `json:"feedback"`
-	Decay       decayJSON      `json:"decay"`
-	Cache       cacheJSON      `json:"cache"`
-	Subs        subsJSON       `json:"subscriptions"`
-	Traces      tracesJSON     `json:"traces"`
-}
-
-// tracesJSON is the span flight recorder's snapshot: configured or
-// not, fill level, and the keep/drop/evict counters.
-type tracesJSON struct {
-	Enabled              bool    `json:"enabled"`
-	Capacity             int     `json:"capacity"`
-	Kept                 int     `json:"kept"`
-	Active               int     `json:"active"`
-	Completed            uint64  `json:"completed"`
-	KeptTotal            uint64  `json:"kept_total"`
-	Dropped              uint64  `json:"dropped"`
-	Evicted              uint64  `json:"evicted"`
-	SlowThresholdSeconds float64 `json:"slow_threshold_seconds"`
-	SampleN              int     `json:"sample_n"`
-}
-
-// cacheJSON is the answer cache's snapshot: configured or not, fill
-// level, and the hit/miss/eviction/invalidation counters behind the
-// hit rate.
-type cacheJSON struct {
-	Enabled       bool    `json:"enabled"`
-	Entries       int     `json:"entries"`
-	Capacity      int     `json:"capacity"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-	Evictions     int64   `json:"evictions"`
-	Invalidations int64   `json:"invalidations"`
-}
-
-// subsJSON is the standing-query broadcaster's snapshot.
-type subsJSON struct {
-	Active    int   `json:"active"`
-	Delivered int64 `json:"delivered"`
-	Dropped   int64 `json:"dropped"`
-}
-
-// feedbackJSON is the feedback subsystem's counters: how many verdicts
-// arrived, how many have applied (by kind), and how many are buffered
-// (deferred = parked by recovery until their record re-integrates).
-type feedbackJSON struct {
-	Accepted     int64 `json:"accepted"`
-	Replayed     int64 `json:"replayed"`
-	Applied      int64 `json:"applied"`
-	Confirmed    int64 `json:"confirmed"`
-	Rejected     int64 `json:"rejected"`
-	Corrected    int64 `json:"corrected"`
-	Pending      int   `json:"pending"`
-	Deferred     int   `json:"deferred"`
-	DroppedStale int64 `json:"dropped_stale"`
-}
-
-// decayJSON is the certainty-ageing totals across loop and admin runs.
-type decayJSON struct {
-	Runs    int64 `json:"runs"`
-	Decayed int64 `json:"decayed"`
-	Deleted int64 `json:"deleted"`
-}
-
-func feedbackBody(st neogeo.FeedbackStats) feedbackJSON {
-	return feedbackJSON{
-		Accepted:     st.Accepted,
-		Replayed:     st.Replayed,
-		Applied:      st.Applied,
-		Confirmed:    st.Confirmed,
-		Rejected:     st.Rejected,
-		Corrected:    st.Corrected,
-		Pending:      st.Pending,
-		Deferred:     st.Deferred,
-		DroppedStale: st.DroppedStale,
-	}
+	Gazetteer   gazetteerJSON            `json:"gazetteer"`
+	Queue       neogeo.QueueStats        `json:"queue"`
+	Collections map[string]int           `json:"collections"`
+	Shards      shardsJSON               `json:"shards"`
+	Checkpoint  checkpointJSON           `json:"checkpoint"`
+	Feedback    neogeo.FeedbackStats     `json:"feedback"`
+	Decay       neogeo.DecayStats        `json:"decay"`
+	Cache       neogeo.CacheStats        `json:"cache"`
+	Subs        neogeo.SubscriptionStats `json:"subscriptions"`
+	Traces      neogeo.TraceStats        `json:"traces"`
 }
 
 type gazetteerJSON struct {
 	Entries int `json:"entries"`
 	Names   int `json:"names"`
-}
-
-type queueJSON struct {
-	Pending         int `json:"pending"`
-	InFlight        int `json:"in_flight"`
-	Acked           int `json:"acked"`
-	DeadLettered    int `json:"dead_lettered"`
-	WALAppendErrors int `json:"wal_append_errors"`
 }
 
 type shardsJSON struct {
@@ -770,53 +643,19 @@ func checkpointBody(st neogeo.CheckpointStats) checkpointJSON {
 	return out
 }
 
-func queueBody(st neogeo.QueueStats) queueJSON {
-	return queueJSON{
-		Pending:         st.Pending,
-		InFlight:        st.InFlight,
-		Acked:           st.Acked,
-		DeadLettered:    st.DeadLettered,
-		WALAppendErrors: st.WALAppendErrors,
-	}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.sys.Stats()
 	s.writeJSON(w, http.StatusOK, statsResponse{
 		Gazetteer:   gazetteerJSON{Entries: st.GazetteerEntries, Names: st.GazetteerNames},
-		Queue:       queueBody(st.Queue),
+		Queue:       st.Queue,
 		Collections: st.Collections,
 		Shards:      shardsJSON{Count: st.Shards, Records: st.ShardRecords},
 		Checkpoint:  checkpointBody(st.Checkpoint),
-		Feedback:    feedbackBody(st.Feedback),
-		Decay:       decayJSON{Runs: st.Decay.Runs, Decayed: st.Decay.Decayed, Deleted: st.Decay.Deleted},
-		Cache: cacheJSON{
-			Enabled:       st.Cache.Enabled,
-			Entries:       st.Cache.Entries,
-			Capacity:      st.Cache.Capacity,
-			Hits:          st.Cache.Hits,
-			Misses:        st.Cache.Misses,
-			HitRate:       st.Cache.HitRate,
-			Evictions:     st.Cache.Evictions,
-			Invalidations: st.Cache.Invalidations,
-		},
-		Subs: subsJSON{
-			Active:    st.Subscriptions.Active,
-			Delivered: st.Subscriptions.Delivered,
-			Dropped:   st.Subscriptions.Dropped,
-		},
-		Traces: tracesJSON{
-			Enabled:              st.Traces.Enabled,
-			Capacity:             st.Traces.Capacity,
-			Kept:                 st.Traces.Kept,
-			Active:               st.Traces.Active,
-			Completed:            st.Traces.Completed,
-			KeptTotal:            st.Traces.KeptTotal,
-			Dropped:              st.Traces.Dropped,
-			Evicted:              st.Traces.Evicted,
-			SlowThresholdSeconds: st.Traces.SlowThresholdSeconds,
-			SampleN:              st.Traces.SampleN,
-		},
+		Feedback:    st.Feedback,
+		Decay:       st.Decay,
+		Cache:       st.Cache,
+		Subs:        st.Subscriptions,
+		Traces:      st.Traces,
 	})
 }
 
@@ -824,11 +663,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // orchestrator acts on — queue health, shard balance, durability state,
 // and the reasons behind a degraded status.
 type healthResponse struct {
-	Status     string         `json:"status"`
-	Reasons    []string       `json:"reasons,omitempty"`
-	Queue      queueJSON      `json:"queue"`
-	Shards     []int          `json:"shards"`
-	Checkpoint checkpointJSON `json:"checkpoint"`
+	Status     string            `json:"status"`
+	Reasons    []string          `json:"reasons,omitempty"`
+	Queue      neogeo.QueueStats `json:"queue"`
+	Shards     []int             `json:"shards"`
+	Checkpoint checkpointJSON    `json:"checkpoint"`
 }
 
 // health decides the service's status from a stats snapshot: degraded
@@ -872,7 +711,7 @@ func (s *Server) health(st neogeo.Stats, now time.Time) (status string, reasons 
 // behind: the most recent checkpoint attempt failed, or periodic
 // checkpoints are configured, at least one image exists, and the
 // newest one is more than twice the interval old. Staleness by age is
-// only judged against this server's own loop cadence — a system built
+// only judged against this server's own loop cadence — a server run
 // without an interval checkpoints on demand and is never "late".
 func (s *Server) checkpointStale(ck neogeo.CheckpointStats) bool {
 	if !ck.Enabled {
@@ -896,7 +735,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, code, healthResponse{
 		Status:     status,
 		Reasons:    reasons,
-		Queue:      queueBody(st.Queue),
+		Queue:      st.Queue,
 		Shards:     st.ShardRecords,
 		Checkpoint: checkpointBody(st.Checkpoint),
 	})
@@ -939,12 +778,19 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// decodeJSON reads a JSON body strictly (unknown fields rejected, at most
-// 1 MiB), writing a 400 and returning false on failure.
+// decodeJSON reads a JSON body strictly (exactly one value, unknown
+// fields rejected, at most 1 MiB), writing a 400 and returning false on
+// failure.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("malformed JSON body: %v", err), nil)
 		return false
 	}

@@ -173,6 +173,12 @@ func TestErrorMapping(t *testing.T) {
 		{"feedback unknown record", http.MethodPost, "/v1/feedback", `{"record_id":424242,"verdict":"confirm"}`, http.StatusNotFound, "unknown_record"},
 		{"decay with GET", http.MethodGet, "/v1/decay", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"decay floor out of range", http.MethodPost, "/v1/decay", `{"floor": 7}`, http.StatusUnprocessableEntity, "invalid_floor"},
+		// One JSON value per body: anything after it is rejected, not dropped.
+		{"trailing data after submit", http.MethodPost, "/v1/messages", `{"text":"a","source":"b"} {"text":"second"} garbage`, http.StatusBadRequest, "bad_request"},
+		{"trailing data after ask", http.MethodPost, "/v1/ask", `{"question":"any good hotels in Berlin?","source":"a"} x`, http.StatusBadRequest, "bad_request"},
+		{"trailing data after feedback", http.MethodPost, "/v1/feedback", `{"record_id":1,"verdict":"confirm"}{}`, http.StatusBadRequest, "bad_request"},
+		{"trailing data after subscribe", http.MethodPost, "/v1/subscribe", `{"key":"Axel Hotel"} ]`, http.StatusBadRequest, "bad_request"},
+		{"trailing data after decay", http.MethodPost, "/v1/decay", `{"floor": 0.1} 0.2`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

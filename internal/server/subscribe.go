@@ -7,19 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	neogeo "repro"
 )
-
-// subscribeRequest is the POST /v1/subscribe body: a standing query.
-// Exactly one of key or center selects the matching axis.
-type subscribeRequest struct {
-	Collection   string        `json:"collection,omitempty"`
-	Key          string        `json:"key,omitempty"`
-	Center       *locationJSON `json:"center,omitempty"`
-	RadiusMeters float64       `json:"radius_meters,omitempty"`
-}
 
 // subscribeResponse acknowledges a registered standing query and tells
 // the caller where its event stream lives.
@@ -30,17 +20,9 @@ type subscribeResponse struct {
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	var req subscribeRequest
-	if !s.decodeJSON(w, r, &req) {
+	var sub neogeo.Subscription // the POST /v1/subscribe body
+	if !s.decodeJSON(w, r, &sub) {
 		return
-	}
-	sub := neogeo.Subscription{
-		Collection:   req.Collection,
-		Key:          req.Key,
-		RadiusMeters: req.RadiusMeters,
-	}
-	if req.Center != nil {
-		sub.Center = &neogeo.Location{Lat: req.Center.Lat, Lon: req.Center.Lon}
 	}
 	id, err := s.sys.Subscribe(r.Context(), sub)
 	if err != nil {
@@ -78,18 +60,6 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request, id st
 		return
 	}
 	s.writeJSON(w, http.StatusOK, unsubscribeResponse{ID: id, Status: "cancelled"})
-}
-
-// eventJSON mirrors neogeo.SubscriptionEvent on the SSE wire.
-type eventJSON struct {
-	Seq        int64             `json:"seq"`
-	Action     string            `json:"action"`
-	Collection string            `json:"collection"`
-	RecordID   int64             `json:"record_id"`
-	Certainty  float64           `json:"certainty"`
-	Location   *locationJSON     `json:"location,omitempty"`
-	Fields     map[string]string `json:"fields"`
-	At         string            `json:"at"`
 }
 
 // handleStream serves GET /v1/subscribe/{id}/stream as Server-Sent
@@ -154,19 +124,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, id string)
 
 // writeEvent emits one SSE frame; false means the client hung up.
 func (s *Server) writeEvent(w http.ResponseWriter, flusher http.Flusher, ev neogeo.SubscriptionEvent) bool {
-	body := eventJSON{
-		Seq:        ev.Seq,
-		Action:     ev.Action,
-		Collection: ev.Collection,
-		RecordID:   ev.RecordID,
-		Certainty:  ev.Certainty,
-		Fields:     ev.Fields,
-		At:         ev.At.UTC().Format(time.RFC3339Nano),
-	}
-	if ev.Location != nil {
-		body.Location = &locationJSON{Lat: ev.Location.Lat, Lon: ev.Location.Lon}
-	}
-	data, err := json.Marshal(body)
+	ev.At = ev.At.UTC() // the wire carries UTC whatever zone the clock is in
+	data, err := json.Marshal(ev)
 	if err != nil {
 		s.log.Warn("server: marshalling subscription event", "err", err)
 		return true

@@ -192,14 +192,14 @@ func TestSSEEndToEnd(t *testing.T) {
 
 	// Read frames off the live stream in the background; each complete
 	// "event:" block's data line is one delivery.
-	events := make(chan eventJSON, 8)
+	events := make(chan neogeo.SubscriptionEvent, 8)
 	go func() {
 		defer close(events)
 		scanner := bufio.NewScanner(streamResp.Body)
 		for scanner.Scan() {
 			line := scanner.Text()
 			if data, ok := strings.CutPrefix(line, "data: "); ok {
-				var ev eventJSON
+				var ev neogeo.SubscriptionEvent
 				if err := json.Unmarshal([]byte(data), &ev); err != nil {
 					t.Errorf("bad event payload %q: %v", data, err)
 					return

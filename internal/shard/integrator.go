@@ -60,9 +60,6 @@ func (in *Integrator) Lanes() int { return len(in.svcs) }
 // like temporal decay).
 func (in *Integrator) Services() []*integrate.Service { return in.svcs }
 
-// Store returns the sharded store the lanes write to.
-func (in *Integrator) Store() *Store { return in.store }
-
 // Route assigns one message's template group to a lane. The group stays
 // together (preserving the pipeline's per-message ordering invariant)
 // and is routed by its first template — the resolved location when one

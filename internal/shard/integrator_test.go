@@ -32,7 +32,7 @@ func hotelTemplate(name, city string, loc *geo.Point, source string) extract.Tem
 }
 
 func TestIntegratorRoutesRepeatedReportsToOneLane(t *testing.T) {
-	st, err := New(4, nil)
+	st, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestIntegratorRoutesRepeatedReportsToOneLane(t *testing.T) {
 }
 
 func TestIntegratorLanesAreIndependentStores(t *testing.T) {
-	st, err := New(4, nil)
+	st, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestIntegratorLanesAreIndependentStores(t *testing.T) {
 // shard that Integrator.Route sends the corresponding template to, so
 // lane-local duplicate detection finds pre-loaded records.
 func TestDirectInsertAgreesWithLaneRouting(t *testing.T) {
-	st, err := New(8, nil)
+	st, err := New(8)
 	if err != nil {
 		t.Fatal(err)
 	}

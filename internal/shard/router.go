@@ -1,8 +1,8 @@
 // Package shard partitions the probabilistic spatial XML database into N
 // independent xmldb shards so unrelated regions never contend on one
-// lock. A pluggable Router decides placement — by default spatially, on
-// the coarse geographic grid the gazetteer's disambiguation scale
-// implies, with a key-hash fallback for location-less records — and the
+// lock. The GridRouter decides placement — spatially, on the coarse
+// geographic grid the gazetteer's disambiguation scale implies, with a
+// key-hash fallback for location-less records — and the
 // Store scatters reads (Query, Near, Each, Len) across all shards and
 // merges the results. Integrator gives the coordinator's concurrent
 // pipeline one integration lane per shard, so batches for different
@@ -17,19 +17,6 @@ import (
 	"repro/internal/text"
 )
 
-// Router maps a record to its home shard.
-type Router interface {
-	// Shards is the number of partitions the router spreads over.
-	Shards() int
-	// Route returns the shard index in [0, Shards()) for a record with
-	// the given resolved location (nil when none) and entity key (the
-	// domain key-field text; may be empty). Routing must be a pure
-	// function of its arguments: the same (location, key) always lands on
-	// the same shard, so repeated reports about one entity meet in one
-	// partition and duplicate detection keeps working shard-locally.
-	Route(loc *geo.Point, key string) int
-}
-
 // GridPrecision is the geohash precision of the default spatial routing
 // grid. Precision 3 cells are ~156×156 km — comfortably larger than the
 // 50 km duplicate-blocking radius of the integration service, so the
@@ -37,11 +24,11 @@ type Router interface {
 // cell count is still high enough to spread load evenly.
 const GridPrecision = 3
 
-// GridRouter is the default router: records with a resolved location are
-// routed by the geohash grid cell containing it (all reports about one
-// place share a cell, so they share a shard); location-less records fall
-// back to a hash of their normalised entity key, which is exactly the
-// identity duplicate detection matches them by.
+// GridRouter maps a record to its home shard: records with a resolved
+// location are routed by the geohash grid cell containing it (all
+// reports about one place share a cell, so they share a shard);
+// location-less records fall back to a hash of their normalised entity
+// key, which is exactly the identity duplicate detection matches them by.
 //
 // Known placement gap: when one entity is reported both with and
 // without a resolved location, the two routes (cell hash vs key hash)
@@ -64,10 +51,15 @@ func NewGridRouter(n int) *GridRouter {
 	return &GridRouter{n: n, precision: GridPrecision}
 }
 
-// Shards implements Router.
+// Shards is the number of partitions the router spreads over.
 func (r *GridRouter) Shards() int { return r.n }
 
-// Route implements Router.
+// Route returns the shard index in [0, Shards()) for a record with the
+// given resolved location (nil when none) and entity key (the domain
+// key-field text; may be empty). Routing is a pure function of its
+// arguments: the same (location, key) always lands on the same shard, so
+// repeated reports about one entity meet in one partition and duplicate
+// detection keeps working shard-locally.
 func (r *GridRouter) Route(loc *geo.Point, key string) int {
 	if r.n == 1 {
 		return 0

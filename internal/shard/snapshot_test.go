@@ -23,7 +23,7 @@ func snapshotDoc(t *testing.T, name, city string) *pxml.Node {
 // shard with its ID, and re-snapshotting the restored store reproduces
 // the stream byte-for-byte.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	s, err := New(4, nil)
+	s, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot: %v", err)
 	}
 
-	fresh, err := New(4, nil)
+	fresh, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // more than the stream holds (a torn or hostile image) is an error, not
 // an allocation of whatever the prefix says.
 func TestRestoreTornSectionLength(t *testing.T) {
-	st, err := New(1, nil)
+	st, err := New(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRestoreTornSectionLength(t *testing.T) {
 // TestRestoreValidation: mismatched shard counts and corrupt sections are
 // refused without touching the store.
 func TestRestoreValidation(t *testing.T) {
-	src, err := New(2, nil)
+	src, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, err := New(3, nil)
+	dst, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRestoreValidation(t *testing.T) {
 		t.Error("3-shard store accepted a 2-shard snapshot")
 	}
 
-	populated, err := New(2, nil)
+	populated, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,15 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/integrate"
 	"repro/internal/obs"
 	"repro/internal/pxml"
 	"repro/internal/uncertain"
 	"repro/internal/xmldb"
 )
 
-// Store fan-out timings: Run covers the QA service's query path
-// (scatter to every shard, merge, re-rank); Near the spatial probe the
-// integrator's duplicate-blocking uses.
+// Store fan-out timings: run covers the QA service's query path
+// (scatter to every shard, merge, re-rank); near the cross-shard spatial
+// probe.
 var (
 	mStoreQuerySeconds = obs.Default().Histogram("neogeo_store_query_seconds",
 		"Cross-shard store operation wall time.", nil, "op")
@@ -36,7 +35,7 @@ const (
 )
 
 // Store partitions records across N independent xmldb databases. Writes
-// route to one shard (spatially via the Router for located records, by
+// route to one shard (spatially via the GridRouter for located records, by
 // entity-key hash otherwise; updates and deletes by the shard encoded in
 // the record ID); reads scatter across all shards in parallel and merge.
 //
@@ -47,34 +46,23 @@ const (
 // shard (the router cell and the 50 km duplicate-blocking radius are
 // coarse enough that this does not split entities in practice).
 //
-// Store satisfies the integrate.Store interface, so the unsharded
-// integration logic runs against it unchanged; per-shard integration
-// (one integrate.Service per shard, see Integrator) is the faster path
-// the concurrent pipeline uses.
+// Integration runs per shard (one integrate.Service per shard, see
+// Integrator), never against the Store as a whole.
 type Store struct {
-	router Router
+	router *GridRouter
 	dbs    []*xmldb.DB
 	// restoreDrift accumulates placement drift found by restore-time
 	// audits, on top of the live per-shard counters (see Drift).
 	restoreDrift atomic.Int64
 }
 
-var _ integrate.Store = (*Store)(nil)
-
-// New returns a store of n empty shards (n >= 1). A nil router installs
-// the default spatial GridRouter over n shards; a non-nil router must
-// report Shards() == n.
-func New(n int, r Router) (*Store, error) {
+// New returns a store of n empty shards (n >= 1), placed by a spatial
+// GridRouter over them.
+func New(n int) (*Store, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
-	if r == nil {
-		r = NewGridRouter(n)
-	}
-	if r.Shards() != n {
-		return nil, fmt.Errorf("shard: router spans %d shards, store has %d", r.Shards(), n)
-	}
-	s := &Store{router: r, dbs: make([]*xmldb.DB, n)}
+	s := &Store{router: NewGridRouter(n), dbs: make([]*xmldb.DB, n)}
 	for i := range s.dbs {
 		db := xmldb.New()
 		if err := db.SetIDSequence(int64(i+1), int64(n)); err != nil {
@@ -93,7 +81,7 @@ func (s *Store) NumShards() int { return len(s.dbs) }
 func (s *Store) Shard(i int) *xmldb.DB { return s.dbs[i] }
 
 // Router returns the placement router.
-func (s *Store) Router() Router { return s.router }
+func (s *Store) Router() *GridRouter { return s.router }
 
 // SetClock overrides every shard's timestamp source (tests).
 func (s *Store) SetClock(clock func() time.Time) {
@@ -237,19 +225,13 @@ func (s *Store) Each(collection string, fn func(*xmldb.Record) bool) {
 	}
 }
 
-// Near scatters the radius query across every shard's spatial index in
-// parallel and merges to one nearest-first ID list — a radius that
-// straddles shard grid-cell boundaries sees exactly the records a
+// NearContext scatters the radius query across every shard's spatial
+// index in parallel and merges to one nearest-first ID list — a radius
+// that straddles shard grid-cell boundaries sees exactly the records a
 // single-store query would, because membership is re-checked per shard
-// and the merge re-sorts by true distance.
-func (s *Store) Near(collection string, p geo.Point, radiusMeters float64) []int64 {
-	//lint:ignore ctxflow compat wrapper for ctx-less callers; NearContext is the cancellable path
-	return s.NearContext(context.Background(), collection, p, radiusMeters)
-}
-
-// NearContext is Near carrying the caller's context: when the request
-// is being traced, each shard's probe becomes a child span tagged with
-// its shard index.
+// and the merge re-sorts by true distance. When the request is being
+// traced, each shard's probe becomes a child span tagged with its shard
+// index.
 func (s *Store) NearContext(ctx context.Context, collection string, p geo.Point, radiusMeters float64) []int64 {
 	defer storeNearSeconds.Since(time.Now())
 	type hit struct {
@@ -289,27 +271,8 @@ func (s *Store) NearContext(ctx context.Context, collection string, p geo.Point,
 	return out
 }
 
-// Query parses and executes a query string, scattering execution across
-// all shards in parallel and merging the results.
-func (s *Store) Query(query string) ([]xmldb.Result, error) {
-	q, err := xmldb.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return s.Execute(q)
-}
-
-// Run is Query under the name *xmldb.DB uses, so the Store is a drop-in
-// read replacement wherever a Run-shaped store is expected (the QA
-// service).
-func (s *Store) Run(query string) ([]xmldb.Result, error) {
-	//lint:ignore ctxflow compat wrapper for ctx-less callers; RunContext is the cancellable path
-	return s.RunContext(context.Background(), query)
-}
-
-// RunContext is Run carrying the caller's context (the qa.ContextStore
-// upgrade): a traced Ask records one child span per shard the query
-// scatters to.
+// RunContext parses and executes a query string (the qa.Store surface):
+// a traced Ask records one child span per shard the query scatters to.
 func (s *Store) RunContext(ctx context.Context, query string) ([]xmldb.Result, error) {
 	defer storeRunSeconds.Since(time.Now())
 	q, err := xmldb.Parse(query)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -83,7 +84,7 @@ func TestRouterSpreadsLoad(t *testing.T) {
 }
 
 func TestStoreIDsGloballyUniqueAndRoutable(t *testing.T) {
-	st, err := New(4, nil)
+	st, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestStoreIDsGloballyUniqueAndRoutable(t *testing.T) {
 }
 
 func TestStoreUpdateDeleteRouteByID(t *testing.T) {
-	st, err := New(3, nil)
+	st, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestStoreUpdateDeleteRouteByID(t *testing.T) {
 }
 
 func TestStoreEachVisitsAllAndStops(t *testing.T) {
-	st, err := New(4, nil)
+	st, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func nameOf(t *testing.T, g interface {
 // set of records, nearest first.
 func TestNearMatchesSingleStore(t *testing.T) {
 	const points = 300
-	st, err := New(4, nil)
+	st, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestNearMatchesSingleStore(t *testing.T) {
 		// From sub-cell (50 km) to continent-straddling (1500 km) radii;
 		// grid cells at the default precision are ~156 km.
 		radius := 50_000 + rng.Float64()*1_450_000
-		gotIDs := st.Near("Hotels", center, radius)
+		gotIDs := st.NearContext(context.Background(), "Hotels", center, radius)
 		wantIDs := single.Near("Hotels", center, radius)
 
 		got := make([]string, len(gotIDs))
@@ -256,7 +257,7 @@ func TestNearMatchesSingleStore(t *testing.T) {
 }
 
 func TestQueryFanOutTopKOrdering(t *testing.T) {
-	st, err := New(4, nil)
+	st, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestQueryFanOutTopKOrdering(t *testing.T) {
 	if st.Balance()[0] == len(locs) {
 		t.Fatal("test fixture degenerate: every record landed on shard 0")
 	}
-	res, err := st.Query("topk(3, for $x in //Hotels orderby score($x) return $x)")
+	res, err := st.RunContext(context.Background(), "topk(3, for $x in //Hotels orderby score($x) return $x)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestQueryFanOutTopKOrdering(t *testing.T) {
 }
 
 func TestStoreCollectionsUnion(t *testing.T) {
-	st, err := New(2, nil)
+	st, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +310,10 @@ func TestStoreCollectionsUnion(t *testing.T) {
 }
 
 func TestNewRejectsBadShapes(t *testing.T) {
-	if _, err := New(0, nil); err == nil {
+	if _, err := New(0); err == nil {
 		t.Error("New(0) accepted")
 	}
-	if _, err := New(4, NewGridRouter(2)); err == nil {
-		t.Error("router/store shard-count mismatch accepted")
+	if _, err := New(-1); err == nil {
+		t.Error("New(-1) accepted")
 	}
 }

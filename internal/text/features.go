@@ -1,102 +1,6 @@
 package text
 
-import (
-	"strings"
-	"unicode"
-)
-
-// Orthographic captures the surface-shape features of a token that named-
-// entity extraction on informal text falls back on once capitalisation is
-// unreliable (paper RQ2b: "What features can be used for Named Entities
-// extraction in informal short text?").
-type Orthographic struct {
-	InitialCap   bool // First
-	AllCaps      bool // NYC
-	AllLower     bool // obama
-	MixedCase    bool // McCormick, iPhone
-	HasDigit     bool // l8r, 42nd
-	AllDigit     bool // 2010
-	HasApostro   bool // Schmick's
-	HasHyphen    bool // north-east
-	IsElongated  bool // sooooo
-	IsAbbrev     bool // known SMS shorthand
-	SingleLetter bool // b, u
-	Length       int  // rune count
-}
-
-// Shape returns the orthographic feature vector of a raw token text.
-func Shape(token string) Orthographic {
-	var o Orthographic
-	var upper, lower, digit, letter int
-	first := true
-	firstUpper := false
-	for _, r := range token {
-		o.Length++
-		switch {
-		case unicode.IsUpper(r):
-			upper++
-			letter++
-			if first {
-				firstUpper = true
-			}
-		case unicode.IsLower(r):
-			lower++
-			letter++
-		case unicode.IsDigit(r):
-			digit++
-		case r == '\'' || r == '’':
-			o.HasApostro = true
-		case r == '-':
-			o.HasHyphen = true
-		}
-		first = false
-	}
-	o.InitialCap = firstUpper && lower > 0
-	o.AllCaps = letter > 0 && upper == letter
-	o.AllLower = letter > 0 && lower == letter
-	o.MixedCase = upper > 0 && lower > 0 && !o.InitialCap
-	// InitialCap words with a later capital are mixed case too (McCormick).
-	if firstUpper && upper > 1 && lower > 0 {
-		o.MixedCase = true
-	}
-	o.HasDigit = digit > 0 && letter > 0
-	o.AllDigit = digit > 0 && letter == 0
-	o.IsElongated = IsElongated(token)
-	_, o.IsAbbrev = ExpandAbbreviation(token)
-	o.SingleLetter = o.Length == 1 && letter == 1
-	return o
-}
-
-// FeatureStrings renders the active features as stable string identifiers
-// for use in linear models and Naive Bayes.
-func (o Orthographic) FeatureStrings() []string {
-	var out []string
-	add := func(on bool, name string) {
-		if on {
-			out = append(out, name)
-		}
-	}
-	add(o.InitialCap, "shape:initcap")
-	add(o.AllCaps, "shape:allcaps")
-	add(o.AllLower, "shape:alllower")
-	add(o.MixedCase, "shape:mixed")
-	add(o.HasDigit, "shape:hasdigit")
-	add(o.AllDigit, "shape:alldigit")
-	add(o.HasApostro, "shape:apostrophe")
-	add(o.HasHyphen, "shape:hyphen")
-	add(o.IsElongated, "shape:elongated")
-	add(o.IsAbbrev, "shape:abbrev")
-	add(o.SingleLetter, "shape:single")
-	switch {
-	case o.Length <= 2:
-		out = append(out, "len:short")
-	case o.Length <= 6:
-		out = append(out, "len:mid")
-	default:
-		out = append(out, "len:long")
-	}
-	return out
-}
+import "strings"
 
 // ContextFeatures returns feature identifiers describing the tokens
 // immediately before and after position i — the "external evidence" the

@@ -5,54 +5,6 @@ import (
 	"testing"
 )
 
-func TestShape(t *testing.T) {
-	cases := []struct {
-		in    string
-		check func(Orthographic) bool
-		desc  string
-	}{
-		{"First", func(o Orthographic) bool { return o.InitialCap && !o.AllCaps }, "initial cap"},
-		{"NYC", func(o Orthographic) bool { return o.AllCaps }, "all caps"},
-		{"obama", func(o Orthographic) bool { return o.AllLower }, "all lower"},
-		{"McCormick", func(o Orthographic) bool { return o.MixedCase }, "mixed case"},
-		{"l8r", func(o Orthographic) bool { return o.HasDigit }, "has digit"},
-		{"2010", func(o Orthographic) bool { return o.AllDigit && !o.HasDigit }, "all digit"},
-		{"Schmick's", func(o Orthographic) bool { return o.HasApostro }, "apostrophe"},
-		{"north-east", func(o Orthographic) bool { return o.HasHyphen }, "hyphen"},
-		{"sooooo", func(o Orthographic) bool { return o.IsElongated }, "elongated"},
-		{"gr8", func(o Orthographic) bool { return o.IsAbbrev }, "abbrev"},
-		{"b", func(o Orthographic) bool { return o.SingleLetter && o.IsAbbrev }, "single letter"},
-	}
-	for _, c := range cases {
-		if o := Shape(c.in); !c.check(o) {
-			t.Errorf("Shape(%q) failed %s check: %+v", c.in, c.desc, o)
-		}
-	}
-}
-
-func TestShapeLength(t *testing.T) {
-	if o := Shape("café"); o.Length != 4 {
-		t.Errorf("rune length = %d, want 4", o.Length)
-	}
-}
-
-func TestFeatureStrings(t *testing.T) {
-	fs := Shape("McCormick").FeatureStrings()
-	if len(fs) == 0 {
-		t.Fatal("no features")
-	}
-	want := map[string]bool{"shape:mixed": true, "len:long": true}
-	got := map[string]bool{}
-	for _, f := range fs {
-		got[f] = true
-	}
-	for f := range want {
-		if !got[f] {
-			t.Errorf("missing feature %q in %v", f, fs)
-		}
-	}
-}
-
 func TestContextFeatures(t *testing.T) {
 	toks := Tokenize("stayed at Axel Hotel")
 	// Feature of "Axel" (index 2).

@@ -21,15 +21,6 @@ type Result struct {
 	Score float64
 }
 
-// Run parses and executes a query string.
-func (db *DB) Run(query string) ([]Result, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return db.Execute(q)
-}
-
 // Execute runs a parsed query. When the where-clause is a conjunction
 // containing a Near predicate, the spatial index pre-filters candidates;
 // otherwise the collection is scanned.

@@ -10,6 +10,15 @@ import (
 	"repro/internal/uncertain"
 )
 
+// run parses and executes a query string against one database.
+func run(db *DB, query string) ([]Result, error) {
+	q, err := Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return db.Execute(q)
+}
+
 func hotelRecord(name, city string, pGermany, pPositive float64) *pxml.Node {
 	return pxml.Elem("Hotel",
 		pxml.ElemText("Hotel_Name", name),
@@ -120,7 +129,7 @@ func TestCRUD(t *testing.T) {
 func TestPaperQuery(t *testing.T) {
 	db := seedDB(t)
 	// The paper's QA query, verbatim modulo whitespace.
-	results, err := db.Run(`topk(3, for $x in //Hotels
+	results, err := run(db, `topk(3, for $x in //Hotels
 		where $x/City == "Berlin" and $x/User_Attitude == "Positive"
 		orderby score($x)
 		return $x)`)
@@ -170,7 +179,7 @@ func TestQueryNumericComparison(t *testing.T) {
 	if _, err := db.Insert("Hotels", doc, 0.8, nil); err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.Run(`for $x in //Hotels where $x/Price < 150 return $x`)
+	results, err := run(db, `for $x in //Hotels where $x/Price < 150 return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestQueryNumericComparison(t *testing.T) {
 	if math.Abs(results[0].CondP-0.4) > 1e-9 {
 		t.Errorf("P(price < 150) = %v, want 0.4", results[0].CondP)
 	}
-	results, err = db.Run(`for $x in //Hotels where $x/Price >= 150 return $x`)
+	results, err = run(db, `for $x in //Hotels where $x/Price >= 150 return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +201,7 @@ func TestQueryNumericComparison(t *testing.T) {
 func TestQuerySpatial(t *testing.T) {
 	db := seedDB(t)
 	// Hotels within 50 km of Berlin centre.
-	results, err := db.Run(`for $x in //Hotels where near($x, 52.52, 13.405, 50000) and $x/User_Attitude == "Positive" orderby score($x) return $x`)
+	results, err := run(db, `for $x in //Hotels where near($x, 52.52, 13.405, 50000) and $x/User_Attitude == "Positive" orderby score($x) return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +219,7 @@ func TestQuerySpatial(t *testing.T) {
 	if _, err := db.Insert("Hotels", noLoc, 0.5, nil); err != nil {
 		t.Fatal(err)
 	}
-	results, err = db.Run(`for $x in //Hotels where near($x, 52.52, 13.405, 50000) return $x`)
+	results, err = run(db, `for $x in //Hotels where near($x, 52.52, 13.405, 50000) return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +233,14 @@ func TestQuerySpatial(t *testing.T) {
 
 func TestQueryOrNot(t *testing.T) {
 	db := seedDB(t)
-	results, err := db.Run(`for $x in //Hotels where $x/City == "Paris" or $x/City == "Berlin" return $x`)
+	results, err := run(db, `for $x in //Hotels where $x/City == "Paris" or $x/City == "Berlin" return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 5 {
 		t.Errorf("or query = %d results", len(results))
 	}
-	results, err = db.Run(`for $x in //Hotels where not $x/City == "Paris" return $x`)
+	results, err = run(db, `for $x in //Hotels where not $x/City == "Paris" return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +251,7 @@ func TestQueryOrNot(t *testing.T) {
 
 func TestQueryNoWhere(t *testing.T) {
 	db := seedDB(t)
-	results, err := db.Run(`for $x in //Hotels return $x`)
+	results, err := run(db, `for $x in //Hotels return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +282,7 @@ func TestQueryParseErrors(t *testing.T) {
 	}
 	db := New()
 	for _, q := range bad {
-		if _, err := db.Run(q); err == nil {
+		if _, err := run(db, q); err == nil {
 			t.Errorf("query accepted: %q", q)
 		}
 	}
@@ -282,7 +291,7 @@ func TestQueryParseErrors(t *testing.T) {
 func TestQuerySmartQuotes(t *testing.T) {
 	// The paper's own example uses typographic quotes; accept them.
 	db := seedDB(t)
-	results, err := db.Run(`for $x in //Hotels where $x/City == “Berlin” return $x`)
+	results, err := run(db, `for $x in //Hotels where $x/City == “Berlin” return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +302,7 @@ func TestQuerySmartQuotes(t *testing.T) {
 
 func TestQueryEmptyCollection(t *testing.T) {
 	db := New()
-	results, err := db.Run(`for $x in //Nothing return $x`)
+	results, err := run(db, `for $x in //Nothing return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +352,7 @@ func TestScoreUsesCertainty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.Run(`for $x in //Hotels where $x/City == "Berlin" orderby score($x) return $x`)
+	results, err := run(db, `for $x in //Hotels where $x/City == "Berlin" orderby score($x) return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,10 @@
 //	sys.FlushFeedback(ctx) // or let the serving layer's loop apply it
 //
 // To serve the system over HTTP, see internal/server and the cmd/neogeod
-// daemon.
+// daemon. The facade's value types are also the HTTP API's schemas: the
+// server decodes request bodies into, and encodes responses from, Answer,
+// Feedback, Subscription, SubscriptionEvent and the Stats families as
+// they are, so their json tags are the wire contract (docs/API.md).
 package neogeo
 
 import (
@@ -167,79 +170,66 @@ func (s *System) Ask(ctx context.Context, question, source string) (*Answer, err
 // durability state.
 func (s *System) Stats() Stats {
 	st := s.sys.Stats()
-	q := s.sys.Queue.Stats()
-	ck := s.sys.CheckpointStats()
-	return Stats{
+	fb := s.sys.Feedback.Stats()
+	out := Stats{
 		GazetteerEntries: st.GazetteerEntries,
 		GazetteerNames:   st.GazetteerNames,
-		Queue: QueueStats{
-			Pending:         q.Pending,
-			InFlight:        q.InFlight,
-			Acked:           q.Acked,
-			DeadLettered:    q.DeadLettered,
-			WALAppendErrors: q.WALAppendErrors,
-		},
-		Collections:  st.Collections,
-		Shards:       st.Shards,
-		ShardRecords: st.ShardRecords,
-		Checkpoint: CheckpointStats{
-			Enabled:   ck.Enabled,
-			Count:     ck.Count,
-			LastSeq:   ck.LastSeq,
-			LastBytes: ck.LastBytes,
-			LastAge:   ck.LastAge,
-			LastError: ck.LastError,
-		},
+		Queue:            QueueStats(s.sys.Queue.Stats()),
+		Collections:      st.Collections,
+		Shards:           st.Shards,
+		ShardRecords:     st.ShardRecords,
+		Checkpoint:       CheckpointStats(s.sys.CheckpointStats()),
+		// The engine's AppliedSeq watermark is a recovery detail, not a
+		// counter; it stays off the facade.
 		Feedback: FeedbackStats{
-			Accepted:     st.Feedback.Accepted,
-			Replayed:     st.Feedback.Replayed,
-			Applied:      st.Feedback.Applied,
-			Confirmed:    st.Feedback.Confirmed,
-			Rejected:     st.Feedback.Rejected,
-			Corrected:    st.Feedback.Corrected,
-			Pending:      st.Feedback.Pending,
-			Deferred:     st.Feedback.Deferred,
-			DroppedStale: st.Feedback.DroppedStale,
+			Accepted:     fb.Accepted,
+			Replayed:     fb.Replayed,
+			Applied:      fb.Applied,
+			Confirmed:    fb.Confirmed,
+			Rejected:     fb.Rejected,
+			Corrected:    fb.Corrected,
+			Pending:      fb.Pending,
+			Deferred:     fb.Deferred,
+			DroppedStale: fb.DroppedStale,
 		},
-		Decay: DecayStats{
-			Runs:    st.Decay.Runs,
-			Decayed: st.Decay.Decayed,
-			Deleted: st.Decay.Deleted,
-		},
-		Cache: CacheStats{
-			Enabled:       st.CacheEnabled,
-			Entries:       st.Cache.Entries,
-			Capacity:      st.Cache.Capacity,
-			Hits:          st.Cache.Hits,
-			Misses:        st.Cache.Misses,
-			HitRate:       hitRate(st.Cache.Hits, st.Cache.Misses),
-			Evictions:     st.Cache.Evictions,
-			Invalidations: st.Cache.Invalidations,
-		},
-		Subscriptions: SubscriptionStats{
-			Active:    st.Subscriptions.Active,
-			Delivered: st.Subscriptions.Delivered,
-			Dropped:   st.Subscriptions.Dropped,
-		},
+		Decay:         DecayStats(s.sys.DecayStats()),
+		Subscriptions: SubscriptionStats(s.sys.Broker.Stats()),
 		Latency: LatencyStats{
 			Ask:       latencySummary("neogeo_ask_seconds"),
 			Extract:   latencySummary("neogeo_pipeline_stage_seconds", "extract"),
 			Integrate: latencySummary("neogeo_pipeline_stage_seconds", "integrate"),
 			Transit:   latencySummary("neogeo_pipeline_transit_seconds"),
 		},
-		Traces: TraceStats{
-			Enabled:              st.TracesEnabled,
-			Capacity:             st.Traces.Capacity,
-			Kept:                 st.Traces.Kept,
-			Active:               st.Traces.Active,
-			Completed:            st.Traces.Completed,
-			KeptTotal:            st.Traces.KeptTotal,
-			Dropped:              st.Traces.Dropped,
-			Evicted:              st.Traces.Evicted,
-			SlowThresholdSeconds: st.Traces.SlowThresholdSeconds,
-			SampleN:              st.Traces.SampleN,
-		},
 	}
+	if c := s.sys.Cache; c != nil {
+		cs := c.Stats()
+		out.Cache = CacheStats{
+			Enabled:       true,
+			Entries:       cs.Entries,
+			Capacity:      cs.Capacity,
+			Hits:          cs.Hits,
+			Misses:        cs.Misses,
+			HitRate:       hitRate(cs.Hits, cs.Misses),
+			Evictions:     cs.Evictions,
+			Invalidations: cs.Invalidations,
+		}
+	}
+	if r := s.sys.Recorder; r != nil {
+		rs := r.Stats()
+		out.Traces = TraceStats{
+			Enabled:              true,
+			Capacity:             rs.Capacity,
+			Kept:                 rs.Kept,
+			Active:               rs.Active,
+			Completed:            rs.Completed,
+			KeptTotal:            rs.KeptTotal,
+			Dropped:              rs.Dropped,
+			Evicted:              rs.Evicted,
+			SlowThresholdSeconds: rs.SlowThresholdSeconds,
+			SampleN:              rs.SampleN,
+		}
+	}
+	return out
 }
 
 // hitRate folds the cache counters into the ratio dashboards want.
@@ -274,13 +264,6 @@ func (s *System) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	return CheckpointInfo{Seq: info.Seq, Bytes: info.Size}, nil
-}
-
-// CheckpointInterval returns the cadence configured with
-// WithCheckpointInterval (0: none) — the serving layer's background
-// checkpoint loop reads it off the built system.
-func (s *System) CheckpointInterval() time.Duration {
-	return s.sys.CheckpointInterval()
 }
 
 // Snapshot writes a consistent image of the (possibly sharded)

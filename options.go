@@ -45,13 +45,6 @@ func WithDataDir(dir string) Option {
 	return func(s *settings) { s.core.DataDir = dir }
 }
 
-// WithCheckpointInterval sets the cadence the serving layer's
-// background loop checkpoints the store at (default 0: only explicit
-// Checkpoint calls write images). Meaningful only with WithDataDir.
-func WithCheckpointInterval(d time.Duration) Option {
-	return func(s *settings) { s.core.CheckpointInterval = d }
-}
-
 // WithCheckpointRetain keeps the newest n checkpoint files after each
 // write (default 3) — enough history to survive a corrupt newest image
 // without unbounded disk growth.

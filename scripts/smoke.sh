@@ -13,7 +13,7 @@
 # registered over /v1/subscribe streams a matching report as an SSE
 # event end to end. The tracing legs drive the span layer: an explained
 # ask returns its own stage breakdown, a request kept by the slow
-# threshold (forced low via NEOGEO_TRACE_SLOW) is fetchable by its
+# threshold (forced low via -trace-slow) is fetchable by its
 # X-Request-Id at /v1/traces/{id}, and the flight-recorder view serves
 # on the debug listener only.
 set -eu
@@ -36,9 +36,9 @@ start_daemon() {
   # -workers 1 keeps drains in queue order so record IDs are stable
   # across crash-replay restarts — the feedback leg rejects a record by
   # ID and asserts the effect survives a second SIGKILL.
-  # NEOGEO_TRACE_SLOW=1us marks every request slow, so the tracing legs
+  # -trace-slow 1us marks every request slow, so the tracing legs
   # below can fetch an ordinary (non-explain) request's trace by ID.
-  NEOGEO_TRACE_SLOW=1us "$BIN" -addr "$ADDR" -debug-addr "$DEBUG_ADDR" -wal "$WAL" -data-dir "$DATA" -shards 2 -workers 1 -drain-interval 50ms -answer-cache 64 &
+  "$BIN" -trace-slow 1us -addr "$ADDR" -debug-addr "$DEBUG_ADDR" -wal "$WAL" -data-dir "$DATA" -shards 2 -workers 1 -drain-interval 50ms -answer-cache 64 &
   PID=$!
 }
 

@@ -17,15 +17,15 @@ import (
 type Subscription struct {
 	// Collection restricts matches to one collection, e.g. "Hotels"
 	// (empty: any).
-	Collection string
+	Collection string `json:"collection,omitempty"`
 	// Key subscribes to one entity by name (e.g. "Hotel Sierra"),
 	// matched under the same normalization duplicate detection uses.
-	Key string
+	Key string `json:"key,omitempty"`
 	// Center and RadiusMeters geofence the subscription: located
 	// records within the circle match. RadiusMeters must be positive
 	// when Center is set.
-	Center       *Location
-	RadiusMeters float64
+	Center       *Location `json:"center,omitempty"`
+	RadiusMeters float64   `json:"radius_meters,omitempty"`
 }
 
 // SubscriptionEvent is one matching write, projected exactly as answer
@@ -34,23 +34,23 @@ type Subscription struct {
 type SubscriptionEvent struct {
 	// Seq orders events broker-wide; consumers see gaps where other
 	// subscriptions matched or their own buffer overflowed.
-	Seq int64
+	Seq int64 `json:"seq"`
 	// Action is what the write did: "inserted", "merged", "confirmed",
 	// "rejected" or "corrected".
-	Action string
+	Action string `json:"action"`
 	// Collection and RecordID identify the record.
-	Collection string
-	RecordID   int64
+	Collection string `json:"collection"`
+	RecordID   int64  `json:"record_id"`
 	// Certainty is the record's certainty after the write.
-	Certainty float64
+	Certainty float64 `json:"certainty"`
 	// Location is the record's resolved position after the write, nil
 	// when none.
-	Location *Location
+	Location *Location `json:"location,omitempty"`
 	// Fields maps the record's top-level fields to their most likely
 	// value.
-	Fields map[string]string
+	Fields map[string]string `json:"fields"`
 	// At is the write's timestamp.
-	At time.Time
+	At time.Time `json:"at"`
 }
 
 // Subscribe registers a standing query and returns its ID. The
@@ -69,7 +69,7 @@ func (s *System) Subscribe(ctx context.Context, sub Subscription) (string, error
 	if sub.Center != nil {
 		spec.Center = &geo.Point{Lat: sub.Center.Lat, Lon: sub.Center.Lon}
 	}
-	id, err := s.sys.Subscribe(spec)
+	id, err := s.sys.Broker.Subscribe(spec)
 	if err != nil {
 		return "", mapSubscribeErr(err)
 	}
@@ -82,7 +82,7 @@ func (s *System) Unsubscribe(ctx context.Context, id string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return mapSubscribeErr(s.sys.Unsubscribe(id))
+	return mapSubscribeErr(s.sys.Broker.Unsubscribe(id))
 }
 
 // OpenSubscription claims a subscription's event stream. Each
@@ -94,7 +94,7 @@ func (s *System) OpenSubscription(ctx context.Context, id string) (*Subscription
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ch, release, err := s.sys.AttachSubscription(id)
+	ch, release, err := s.sys.Broker.Attach(id)
 	if err != nil {
 		return nil, mapSubscribeErr(err)
 	}

@@ -45,6 +45,25 @@ import (
 	"repro/internal/server"
 )
 
+// Both listeners bound how long a client may take to send its request
+// headers and how long a keep-alive connection may sit idle, so a
+// client that stalls cannot hold a goroutine and a descriptor forever.
+// There is deliberately no ReadTimeout or WriteTimeout: SSE streams and
+// /debug/pprof/profile are long-lived by design.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
@@ -108,7 +127,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	var debugSrv *http.Server
 	if *debugAddr != "" {
 		// The debug mux is assembled by hand rather than from
@@ -123,7 +142,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		mux.Handle("/debug/traces", obs.TracesHandler(obs.DefaultRecorder))
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: mux}
+		debugSrv = newHTTPServer(*debugAddr, mux)
 		go func() {
 			logger.Info("debug listener up", "addr", *debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -1,68 +1,65 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestBaselineKeyIsLineIndependent pins the matching contract: a
-// finding that moves to a different line (edits above it) still
-// matches its baseline entry, while a different message or file does
-// not.
-func TestBaselineKeyIsLineIndependent(t *testing.T) {
-	old := finding{Position: "internal/xmldb/db.go:240:4", Analyzer: "versionbump", Message: "m"}
-	moved := finding{Position: "internal/xmldb/db.go:267:9", Analyzer: "versionbump", Message: "m"}
-	if old.key() != moved.key() {
-		t.Errorf("keys differ across lines: %q vs %q", old.key(), moved.key())
+// TestRunExitCodes pins the command's whole contract: 2 when the
+// patterns match no package (this used to panic), 0 on a clean package,
+// 1 with one line per finding on a dirty one.
+func TestRunExitCodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go list -export")
 	}
-	otherMsg := finding{Position: "internal/xmldb/db.go:240:4", Analyzer: "versionbump", Message: "other"}
-	if old.key() == otherMsg.key() {
-		t.Error("different messages must not share a key")
+	dirty := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dirty, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	otherFile := finding{Position: "internal/xmldb/snapshot.go:240:4", Analyzer: "versionbump", Message: "m"}
-	if old.key() == otherFile.key() {
-		t.Error("different files must not share a key")
+	write("go.mod", "module scratch\n\ngo 1.24\n")
+	write("main.go", `package main
+
+import "os"
+
+func main() {
+	if err := os.Rename("state.tmp", "state"); err != nil {
+		panic(err)
 	}
 }
+`)
 
-// TestLoadBaseline round-trips the artifact shape through the
-// baseline loader.
-func TestLoadBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	blob := `[
-  {"position": "a/b.go:10:2", "analyzer": "ctxflow", "message": "msg one"},
-  {"position": "a/b.go:20:2", "analyzer": "atomicwrite", "message": "msg two"}
-]`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("got %d keys, want 2", len(keys))
-	}
-	probe := finding{Position: "a/b.go:99:1", Analyzer: "ctxflow", Message: "msg one"}
-	if !keys[probe.key()] {
-		t.Errorf("baseline does not match same finding on a new line: %q", probe.key())
-	}
-	fresh := finding{Position: "a/b.go:10:2", Analyzer: "ctxflow", Message: "brand new"}
-	if keys[fresh.key()] {
-		t.Error("baseline must not match a new message")
-	}
-}
-
-// TestLoadBaselineRejectsGarbage: a corrupt baseline is an error, not
-// an empty allowlist that would silently re-fail on every accepted
-// finding.
-func TestLoadBaselineRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(path); err == nil {
-		t.Error("expected an error for a corrupt baseline file")
+	for _, tc := range []struct {
+		name, dir, pattern string
+		want               int
+		stdout, stderr     string // substrings; "" means the stream stays empty
+	}{
+		{"empty match", ".", "../../docs/...", 2, "", "no packages matched"},
+		{"flag", ".", "-json", 2, "", "usage: neogeolint [packages]"},
+		{"own package", ".", ".", 0, "", ""},
+		{"seeded violation", dirty, "./...", 1, "main.go:6:12: os.Rename", "1 finding(s)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.dir, []string{tc.pattern}, &stdout, &stderr); got != tc.want {
+				t.Errorf("exit %d, want %d", got, tc.want)
+			}
+			for _, s := range []struct{ name, got, want string }{
+				{"stdout", stdout.String(), tc.stdout},
+				{"stderr", stderr.String(), tc.stderr},
+			} {
+				if !strings.Contains(s.got, s.want) || (s.want == "") != (s.got == "") {
+					t.Errorf("%s = %q, want %q", s.name, s.got, s.want)
+				}
+			}
+			if tc.want == 1 && !strings.HasSuffix(stdout.String(), "(atomicwrite)\n") {
+				t.Errorf("stdout = %q, want one atomicwrite line", &stdout)
+			}
+		})
 	}
 }

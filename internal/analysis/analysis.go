@@ -11,9 +11,10 @@
 //     export data obtained from `go list -export` (load.go), plus a
 //     GOPATH-style testdata loader for golden tests (the analysistest
 //     subpackage).
-//   - A multichecker driver (multichecker.go) used by cmd/neogeolint,
-//     standalone or as a `go vet -vettool`, with //lint:ignore
-//     suppression directives (directive.go).
+//   - One driver (multichecker.go: LoadPackages → RunPackages), used
+//     by cmd/neogeolint, the tree-stays-clean tests and the goldens
+//     alike, with //lint:ignore suppression directives (directive.go)
+//     and run-local cross-package facts (facts.go).
 //
 // The analyzers themselves live under passes/ and encode the repo's
 // hard invariants — import boundaries, single-writer shard discipline,
@@ -54,11 +55,6 @@ type Analyzer struct {
 	// layer (passes/lockspan) are the common requirements — N analyzers
 	// requiring them cost one traversal per package, not N.
 	Requires []*Analyzer
-
-	// FactTypes lists prototypes of the fact types this analyzer
-	// exports (one instance per type). Registration is what lets the
-	// vet driver decode facts read back from .vetx files.
-	FactTypes []Fact
 }
 
 // A Pass provides one analyzer with the type-checked syntax of one
@@ -92,13 +88,12 @@ type Pass struct {
 	ResultOf map[*Analyzer]any
 
 	// facts is the run-wide fact store (see facts.go).
-	facts *FactSet
+	facts factSet
 }
 
 // ExportFact publishes a fact about fn for later analyses — of this
 // package by dependent analyzers, and of downstream packages by any
-// analyzer (the driver analyzes packages in import order, and the vet
-// driver round-trips facts through .vetx files).
+// analyzer (the driver analyzes packages in import order).
 func (p *Pass) ExportFact(fn *types.Func, f Fact) {
 	p.facts.export(fn, f)
 }

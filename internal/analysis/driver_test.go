@@ -196,8 +196,9 @@ func f() {
 }
 
 func TestTestFileDiagnosticsDroppedInVetShape(t *testing.T) {
-	// Simulate a vet-mode load where _test.go files are part of the
-	// package: diagnostics inside them must be dropped by the driver.
+	// Simulate a load where _test.go files are part of the package (a
+	// test variant): diagnostics inside them must be dropped by the
+	// driver.
 	root := writeTree(t, map[string]string{
 		"q/q.go":      "package q\nfunc bad() {}\nfunc f() { bad() }\n",
 		"q/q_test.go": "package q\nfunc g() { bad() }\n",
@@ -215,8 +216,8 @@ func TestTestFileDiagnosticsDroppedInVetShape(t *testing.T) {
 	}
 }
 
-// loadWithTests mimics the vet protocol's file list, which includes
-// _test.go files for test variants.
+// loadWithTests type-checks every file in the directory, _test.go
+// included — the file list of a test variant.
 func loadWithTests(root, path string) (*Package, error) {
 	dir := filepath.Join(root, "src", path)
 	entries, err := os.ReadDir(dir)
@@ -227,5 +228,5 @@ func loadWithTests(root, path string) (*Package, error) {
 	for _, e := range entries {
 		files = append(files, e.Name())
 	}
-	return TypecheckFiles(token.NewFileSet(), path, dir, files, nil)
+	return typecheck(token.NewFileSet(), path, dir, files, nil)
 }

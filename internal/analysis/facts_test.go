@@ -14,51 +14,40 @@ type markFact struct {
 	Note   string
 }
 
-func (*markFact) AFact()           {}
-func (*markFact) FactName() string { return "test.mark" }
+func (*markFact) AFact() {}
 
-func TestFactSetEncodeDecodeRoundTrip(t *testing.T) {
+// otherFact is a second fact type, to show facts about one function
+// do not collide across types.
+type otherFact struct{ N int }
+
+func (*otherFact) AFact() {}
+
+func TestFactsKeyedByFunctionAndType(t *testing.T) {
 	pkg := types.NewPackage("example.com/x", "x")
 	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
 	fa := types.NewFunc(token.NoPos, pkg, "A", sig)
 	fb := types.NewFunc(token.NoPos, pkg, "B", sig)
 
-	fs := NewFactSet()
+	fs := make(factSet)
 	fs.export(fa, &markFact{Marked: true, Note: "a"})
-	fs.export(fb, &markFact{Marked: false, Note: "b"})
+	fs.export(fa, &otherFact{N: 7})
 
-	data, err := fs.Encode()
-	if err != nil {
-		t.Fatal(err)
+	var m markFact
+	var o otherFact
+	if !fs.imp(fa, &m) || !m.Marked || m.Note != "a" {
+		t.Fatalf("markFact on A: got %+v", m)
 	}
-	// Deterministic: encoding twice yields identical bytes.
-	again, err := fs.Encode()
-	if err != nil {
-		t.Fatal(err)
+	if !fs.imp(fa, &o) || o.N != 7 {
+		t.Fatalf("otherFact on A: got %+v", o)
 	}
-	if string(data) != string(again) {
-		t.Fatalf("Encode is not deterministic:\n%s\nvs\n%s", data, again)
+	if fs.imp(fb, &m) {
+		t.Fatal("B has no facts")
 	}
-
-	back := NewFactSet()
-	if err := back.Decode(data, []Fact{(*markFact)(nil)}); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.m) != 2 {
-		t.Fatalf("want 2 facts after decode, got %d", len(back.m))
-	}
-	var got markFact
-	if !back.imp(fa, &got) || !got.Marked || got.Note != "a" {
-		t.Fatalf("fact on A did not round-trip: %+v", got)
-	}
-
-	// Unknown fact names are skipped, not fatal.
-	empty := NewFactSet()
-	if err := empty.Decode(data, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.m) != 0 {
-		t.Fatalf("decode with no prototypes should skip everything, got %d", len(empty.m))
+	// The import is a copy: mutating it leaves the stored fact alone.
+	m.Note = "changed"
+	var again markFact
+	if fs.imp(fa, &again); again.Note != "a" {
+		t.Fatalf("stored fact was aliased: %+v", again)
 	}
 }
 
@@ -161,8 +150,7 @@ func TestFactsFlowAcrossPackagesInImportOrder(t *testing.T) {
 	}
 
 	facter := &Analyzer{
-		Name:      "facter",
-		FactTypes: []Fact{(*markFact)(nil)},
+		Name: "facter",
 		Run: func(pass *Pass) (any, error) {
 			for _, f := range pass.Files {
 				ast.Inspect(f, func(n ast.Node) bool {

@@ -219,14 +219,6 @@ func (tl *treeLoader) stdExport(path string) (string, error) {
 	return f, nil
 }
 
-// TypecheckFiles parses and type-checks one package whose dependencies
-// all resolve through lookup to compiler export data — the shape of
-// cmd/go's vettool protocol, where the vet config hands the tool an
-// export file per dependency.
-func TypecheckFiles(fset *token.FileSet, importPath, dir string, files []string, lookup func(string) (io.ReadCloser, error)) (*Package, error) {
-	return typecheck(fset, importPath, dir, files, importer.ForCompiler(fset, "gc", lookup))
-}
-
 // typecheck parses files (named relative to dir) and type-checks them
 // as the package at importPath, resolving imports through imp.
 func typecheck(fset *token.FileSet, importPath, dir string, files []string, imp types.Importer) (*Package, error) {

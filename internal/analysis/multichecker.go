@@ -9,14 +9,8 @@ import (
 
 // RunPackages applies every analyzer (plus the closure of its Requires)
 // to every package and returns the surviving diagnostics in position
-// order. Facts are scoped to this one run; the vet driver, which must
-// round-trip facts across cmd/go invocations, uses RunPackagesWithFacts.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunPackagesWithFacts(pkgs, analyzers, NewFactSet())
-}
-
-// RunPackagesWithFacts is RunPackages with a caller-owned fact store.
-// The driver applies the project-wide policy:
+// order. Facts are scoped to this one run. The driver applies the
+// project-wide policy:
 //
 //   - Requirements run before their dependents (cycles are an error,
 //     not a hang), and their per-package results flow to dependents via
@@ -27,14 +21,16 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 //     analyzing a dependency are visible when its importers run.
 //   - Diagnostics positioned in _test.go files are dropped — tests
 //     exercise failure paths and fakes that deliberately break the
-//     production invariants (vet-mode loads include test variants).
+//     production invariants. Neither loader reads test files today;
+//     the filter holds the policy for one that does.
 //   - Diagnostics matched by a justified //lint:ignore directive are
 //     dropped. A directive without a justification is itself reported
 //     under the pseudo-analyzer "lint", and so is a justified directive
 //     that no longer suppresses anything — a stale suppression hides
 //     the next real finding at that site, so the inventory must shrink
 //     with the violations.
-func RunPackagesWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactSet) ([]Diagnostic, error) {
+func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	facts := make(factSet)
 	order, err := expand(analyzers)
 	if err != nil {
 		return nil, err

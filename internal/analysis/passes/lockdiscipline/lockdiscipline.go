@@ -34,10 +34,8 @@ import (
 )
 
 // modulePath scopes fact computation to the project's own packages:
-// under `go vet -vettool` the analyzer is driven over every
-// dependency, stdlib included, and summarizing runtime internals is
-// both slow and meaningless — direct stdlib blocking calls are named
-// in blockingFuncs instead.
+// summarizing anything else is both slow and meaningless — direct
+// stdlib blocking calls are named in blockingFuncs instead.
 const modulePath = "repro"
 
 // checked are the packages whose locks the analyzer reports on; facts
@@ -112,8 +110,7 @@ type BlocksFact struct {
 	What   string
 }
 
-func (*BlocksFact) AFact()           {}
-func (*BlocksFact) FactName() string { return "lockdiscipline.BlocksFact" }
+func (*BlocksFact) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
@@ -121,9 +118,8 @@ var Analyzer = &analysis.Analyzer{
 		"A blocked lock holder stalls every reader and writer behind it;\n" +
 		"inconsistent nesting deadlocks; an unpaired return wedges the\n" +
 		"store permanently.",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer, lockspan.Analyzer},
-	FactTypes: []analysis.Fact{(*BlocksFact)(nil)},
-	Run:       run,
+	Requires: []*analysis.Analyzer{inspect.Analyzer, lockspan.Analyzer},
+	Run:      run,
 }
 
 type checker struct {

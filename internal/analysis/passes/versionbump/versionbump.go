@@ -72,8 +72,7 @@ type MutFact struct {
 	EndsPending bool
 }
 
-func (*MutFact) AFact()           {}
-func (*MutFact) FactName() string { return "versionbump.MutFact" }
+func (*MutFact) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "versionbump",
@@ -81,9 +80,8 @@ var Analyzer = &analysis.Analyzer{
 		"The version counter is the read path's only invalidation signal;\n" +
 		"a mutation that escapes the write lock without bumping it makes\n" +
 		"cached answers permanently stale.",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer, lockspan.Analyzer},
-	FactTypes: []analysis.Fact{(*MutFact)(nil)},
-	Run:       run,
+	Requires: []*analysis.Analyzer{inspect.Analyzer, lockspan.Analyzer},
+	Run:      run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -1,7 +1,7 @@
 // Package suite is the single registry of the project's analyzers:
-// cmd/neogeolint, the vettool path, and the tree-stays-clean guard
-// test all draw from it, so an analyzer added here is enforced
-// everywhere at once.
+// cmd/neogeolint and the tree-stays-clean guard tests (the root
+// module's and bench's) all draw from it, so an analyzer added here is
+// enforced everywhere at once.
 package suite
 
 import (

@@ -1,8 +1,8 @@
-// Package benchkit holds the integration benchmarks behind cmd/integbench.
-// The command is a thin flag wrapper; the workloads live here, below the
-// public facade, because they measure internal services (integration
-// strategies, drain configurations) that the stable API deliberately does
-// not expose.
+// Package benchkit holds experiment E7, the workload behind
+// cmd/integbench. The command is a thin flag wrapper; the workload
+// lives here, below the public facade, because it compares integration
+// strategies the stable API deliberately does not expose. Throughput
+// and latency are bench/'s business, not this package's.
 package benchkit
 
 import (

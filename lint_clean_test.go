@@ -1,6 +1,7 @@
 package neogeo
 
 import (
+	"os/exec"
 	"testing"
 
 	"repro/internal/analysis"
@@ -36,5 +37,21 @@ func TestTreeRunsClean(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Log("fix the violation or suppress it with a justified //lint:ignore (see docs/INVARIANTS.md)")
+	}
+}
+
+// TestBenchModuleBuilds compiles the benchmark harness. bench/ is a
+// nested module built against this module's internal packages, so
+// `go build ./... && go test ./...` at the root never sees it: a changed
+// signature here would otherwise surface only as a benchmark run that
+// fails to start. go vet type-checks the harness and its tests.
+func TestBenchModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the nested bench module")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
 	}
 }

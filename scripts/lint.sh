@@ -1,28 +1,8 @@
 #!/usr/bin/env sh
-# Build cmd/neogeolint and run the project-invariant analyzer suite
-# over the whole module. Exits nonzero when any finding is reported, so
-# both CI and the smoke preflight can gate on it. Findings print to
-# stdout in file:line:col form.
-#
-#   LINT_ARTIFACT=out.json  write the findings JSON to out.json even
-#                           when the tree is clean (CI uploads it on
-#                           every run, not just red ones)
-#   LINT_BASELINE=base.json suppress findings already recorded in
-#                           base.json; fail only on new ones
-#   LINT_FLAGS=...          extra flags passed through verbatim
+# Run the project-invariant analyzer suite (cmd/neogeolint) over the
+# whole module. Exits nonzero when any finding is reported, so both CI
+# and the smoke preflight can gate on it. Findings print to stdout in
+# file:line:col form.
 set -eu
-
 cd "$(dirname "$0")/.."
-
-BIN="${NEOGEOLINT_BIN:-$(mktemp -d)/neogeolint}"
-go build -o "$BIN" ./cmd/neogeolint
-
-set -- ${LINT_FLAGS:-}
-if [ -n "${LINT_ARTIFACT:-}" ]; then
-  set -- "$@" -artifact "$LINT_ARTIFACT"
-fi
-if [ -n "${LINT_BASELINE:-}" ]; then
-  set -- "$@" -baseline "$LINT_BASELINE"
-fi
-
-exec "$BIN" "$@" ./...
+exec go run ./cmd/neogeolint ./...

@@ -266,6 +266,61 @@ func TestNearPlaceSpatialQuery(t *testing.T) {
 	}
 }
 
+// TestFormulatedQueryBytes pins the exact Answer.Query of every branch
+// of formulate: the string is on the wire, keys the answer cache and is
+// what readpath plans from, so a change of one byte is a change of
+// behaviour.
+func TestFormulatedQueryBytes(t *testing.T) {
+	w := newWorld(t)
+	cases := []struct {
+		name, question, want string
+	}{
+		{"tourism city and positive",
+			"Can anyone recommend a good, but not ridiculously expensive hotel right in the middle of Berlin?",
+			`topk(3, for $x in //Hotels where $x/City == "Berlin" and $x/User_Attitude == "Positive" orderby score($x) return $x)`},
+		{"tourism near and positive",
+			"What are the good cheap hotels near Paris?",
+			`topk(3, for $x in //Hotels where near($x, 48.8500, 2.3500, 20000) and $x/User_Attitude == "Positive" orderby score($x) return $x)`},
+		{"tourism near, negative latitude",
+			"any good hotels near Nairobi?",
+			`topk(3, for $x in //Hotels where near($x, -1.2900, 36.8200, 20000) and $x/User_Attitude == "Positive" orderby score($x) return $x)`},
+		{"tourism distance",
+			"any hotels 5km from Paris?",
+			`topk(3, for $x in //Hotels where near($x, 48.8500, 2.3500, 5000) orderby score($x) return $x)`},
+		{"tourism no location",
+			"any good hotels?",
+			`topk(3, for $x in //Hotels where $x/User_Attitude == "Positive" orderby score($x) return $x)`},
+		{"tourism no condition",
+			"which hotels are open?",
+			`topk(3, for $x in //Hotels orderby score($x) return $x)`},
+		{"traffic place",
+			"any traffic in Nairobi this morning?",
+			`topk(3, for $x in //RoadReports where $x/Place == "Nairobi" orderby score($x) return $x)`},
+		{"traffic no place",
+			"any traffic this morning?",
+			`topk(3, for $x in //RoadReports orderby score($x) return $x)`},
+		{"farming region",
+			"any locusts in Nairobi this week?",
+			`topk(3, for $x in //FarmReports where $x/Region == "Nairobi" orderby score($x) return $x)`},
+		{"not understood",
+			"what is the meaning of it all?",
+			``},
+	}
+	for _, c := range cases {
+		ex, err := w.ie.Extract(context.Background(), c.question, "asker", t0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		ans, err := w.qa.Answer(context.Background(), ex)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ans.Query != c.want {
+			t.Errorf("%s: query\n got %s\nwant %s", c.name, ans.Query, c.want)
+		}
+	}
+}
+
 // TestNearUnknownPlaceFallsBack: if the relation object is not in the
 // gazetteer the service must not formulate a spatial predicate.
 func TestNearUnknownPlaceFallsBack(t *testing.T) {

@@ -260,34 +260,31 @@ func (s *Service) resolvePlace(name string) (geo.Point, bool) {
 // formulate builds the query string — for the tourism scenario, exactly
 // the paper's topk query.
 func (s *Service) formulate(req request) string {
-	var conds []string
+	q := xmldb.Query{TopK: s.K, Collection: req.domain.Collection, OrderByScore: true}
+	equal := func(field, value string) {
+		q.Where = append(q.Where, xmldb.Equal{Path: field, Value: value})
+	}
 	switch req.domain.Name {
 	case "tourism":
 		switch {
 		case req.nearPoint != nil:
-			conds = append(conds, fmt.Sprintf("near($x, %.4f, %.4f, %.0f)",
-				req.nearPoint.Lat, req.nearPoint.Lon, req.nearRadius))
+			q.Near = &xmldb.Near{Center: *req.nearPoint, RadiusMeters: req.nearRadius}
 		case req.cityFound:
-			conds = append(conds, fmt.Sprintf(`$x/City == "%s"`, titleWord(req.city)))
+			equal("City", titleWord(req.city))
 		}
 		if req.positive {
-			conds = append(conds, `$x/User_Attitude == "Positive"`)
+			equal("User_Attitude", "Positive")
 		}
 	case "traffic":
 		if req.place != "" {
-			conds = append(conds, fmt.Sprintf(`$x/Place == "%s"`, titleWord(req.place)))
+			equal("Place", titleWord(req.place))
 		}
 	case "farming":
 		if req.place != "" {
-			conds = append(conds, fmt.Sprintf(`$x/Region == "%s"`, titleWord(req.place)))
+			equal("Region", titleWord(req.place))
 		}
 	}
-	where := ""
-	if len(conds) > 0 {
-		where = " where " + strings.Join(conds, " and ")
-	}
-	return fmt.Sprintf("topk(%d, for $x in //%s%s orderby score($x) return $x)",
-		s.K, req.domain.Collection, where)
+	return q.String()
 }
 
 // generate renders the natural-language answer.

@@ -1,7 +1,6 @@
 package readpath
 
 import (
-	"repro/internal/geo"
 	"repro/internal/shard"
 	"repro/internal/xmldb"
 )
@@ -10,15 +9,13 @@ import (
 // shards whose writes could change the answer produced by the given
 // formulated query, or nil when it is the whole store.
 //
-// The only narrowing implemented is the one the QA service actually
-// emits: a near($x, lat, lon, r) predicate in conjunctive position
-// under a GridRouter. A record matching such a query must be located
-// inside the circle, located records live on the shard of their
-// location's grid cell, and GridRouter.CoverShards enumerates every
-// cell the circle touches — so writes outside the cover cannot add,
-// remove or rescore a match. Everything else (city equality, attitude
-// filters, disjunctions) keys on field values the router never sees and
-// stays whole-store.
+// The only narrowing is by the query's near($x, lat, lon, r) conjunct
+// under a GridRouter. Every conjunct must hold, so a record matching the
+// query is located inside the circle; located records live on the shard
+// of their location's grid cell, and GridRouter.CoverShards enumerates
+// every cell the circle touches — so writes outside the cover cannot add,
+// remove or rescore a match. A query without near() keys on field values
+// the router never sees and stays whole-store, as does one Parse rejects.
 //
 // Narrowing additionally requires the store's placement-drift epoch to
 // be zero: a location-moving merge or feedback correction can strand a
@@ -33,37 +30,12 @@ func TouchedShards(query string, st *shard.Store) []int {
 		return nil
 	}
 	q, err := xmldb.Parse(query)
-	if err != nil || q.Where == nil {
+	if err != nil || q.Near == nil {
 		return nil
 	}
-	near, ok := conjunctiveNear(q.Where)
-	if !ok {
-		return nil
-	}
-	center, err := geo.NewPoint(near.Lat, near.Lon)
-	if err != nil {
-		return nil
-	}
-	cover := st.Router().CoverShards(center, near.RadiusMeters)
+	cover := st.Router().CoverShards(q.Near.Center, q.Near.RadiusMeters)
 	if len(cover) >= st.NumShards() {
 		return nil
 	}
 	return cover
-}
-
-// conjunctiveNear finds a Near predicate that every match must satisfy:
-// the expression itself, or a conjunct of a top-level And chain. Under
-// Or or Not a record can match without being inside the circle, so the
-// walk does not descend into them.
-func conjunctiveNear(e xmldb.Expr) (xmldb.Near, bool) {
-	switch v := e.(type) {
-	case xmldb.Near:
-		return v, true
-	case xmldb.And:
-		if n, ok := conjunctiveNear(v.L); ok {
-			return n, ok
-		}
-		return conjunctiveNear(v.R)
-	}
-	return xmldb.Near{}, false
 }

@@ -343,8 +343,10 @@ func TestTouchedShards(t *testing.T) {
 	if fmt.Sprint(conj) != fmt.Sprint(narrowed) {
 		t.Fatalf("conjunctive near plan %v differs from bare near plan %v", conj, narrowed)
 	}
+	// The language has no `or` any more, so Parse rejects orQ; an
+	// unparseable query must stay whole-store rather than narrow.
 	if got := TouchedShards(orQ, four); got != nil {
-		t.Fatalf("disjunctive near narrowed to %v; Or can match outside the circle", got)
+		t.Fatalf("disjunctive near narrowed to %v; a disjunction can match outside the circle", got)
 	}
 	if got := TouchedShards(cityQ, four); got != nil {
 		t.Fatalf("city plan = %v, want nil (field values are invisible to the router)", got)

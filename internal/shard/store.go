@@ -271,33 +271,21 @@ func (s *Store) NearContext(ctx context.Context, collection string, p geo.Point,
 	return out
 }
 
-// RunContext parses and executes a query string (the qa.Store surface):
-// a traced Ask records one child span per shard the query scatters to.
+// RunContext parses a query string (the qa.Store surface), scatters it
+// across every shard in parallel and merges. With orderby score($x) each
+// shard pre-truncates to its local top-k and the merge re-ranks by (score
+// desc, record ID asc) before the final top-k cut — the global top-k is
+// always contained in the union of per-shard top-ks. Without orderby,
+// results keep shard-major order.
+//
+// A traced Ask records one child span per shard. Spans bracket each
+// shard's Execute from outside the shard's lock (the recorder is never
+// touched under db.mu).
 func (s *Store) RunContext(ctx context.Context, query string) ([]xmldb.Result, error) {
 	defer storeRunSeconds.Since(time.Now())
 	q, err := xmldb.Parse(query)
 	if err != nil {
 		return nil, err
-	}
-	return s.ExecuteContext(ctx, q)
-}
-
-// Execute scatters a parsed query across every shard in parallel and
-// merges. With orderby score($x) each shard pre-truncates to its local
-// top-k and the merge re-ranks by (score desc, record ID asc) before the
-// final top-k cut — the global top-k is always contained in the union of
-// per-shard top-ks. Without orderby, results keep shard-major order.
-func (s *Store) Execute(q *xmldb.Query) ([]xmldb.Result, error) {
-	//lint:ignore ctxflow compat wrapper for ctx-less callers; ExecuteContext is the cancellable path
-	return s.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute carrying the caller's context for per-shard
-// span attribution. Spans bracket each shard's Execute from outside the
-// shard's lock (the recorder is never touched under db.mu).
-func (s *Store) ExecuteContext(ctx context.Context, q *xmldb.Query) ([]xmldb.Result, error) {
-	if q == nil {
-		return nil, fmt.Errorf("shard: nil query")
 	}
 	parts := make([][]xmldb.Result, len(s.dbs))
 	errs := make([]error, len(s.dbs))

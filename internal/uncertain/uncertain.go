@@ -168,15 +168,6 @@ func (d *Dist) total() float64 {
 	return t
 }
 
-// Masses returns all (name, unnormalised mass) pairs in insertion order.
-func (d *Dist) Masses() []Alternative {
-	out := make([]Alternative, 0, len(d.order))
-	for _, name := range d.order {
-		out = append(out, Alternative{Name: name, P: d.alts[name]})
-	}
-	return out
-}
-
 // Alternative is one (name, probability) pair of a normalised distribution.
 type Alternative struct {
 	Name string

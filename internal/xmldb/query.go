@@ -5,9 +5,12 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"repro/internal/geo"
 )
 
-// The query language reproduces the paper's QA example:
+// The query language is the one shape the QA service formulates, the
+// paper's example:
 //
 //	topk(3, for $x in //Hotels
 //	  where $x/City == "Berlin" and $x/User_Attitude == "Positive"
@@ -16,68 +19,69 @@ import (
 //
 // Grammar (case-insensitive keywords):
 //
-//	query     := [ "topk(" INT "," ] flwor [ ")" ]
-//	flwor     := "for" VAR "in" "//" IDENT [ "where" expr ]
-//	             [ "orderby" "score(" VAR ")" ] "return" VAR
-//	expr      := orExpr
-//	orExpr    := andExpr { "or" andExpr }
-//	andExpr   := unary { "and" unary }
-//	unary     := [ "not" ] primary
-//	primary   := "(" expr ")" | cmp | near
-//	cmp       := VAR "/" path OP literal
-//	near      := "near(" VAR "/" path? "," NUM "," NUM "," NUM ")"
-//	OP        := "==" | "!=" | "<" | "<=" | ">" | ">="
-//	literal   := STRING | NUM
+//	query := "topk(" INT "," flwor ")" | flwor
+//	flwor := "for" VAR "in" "//" IDENT [ "where" cond { "and" cond } ]
+//	         [ "orderby" "score(" VAR ")" ] "return" VAR
+//	cond  := VAR "/" IDENT "==" STRING | "near(" VAR "," NUM "," NUM "," NUM ")"
+//
+// Each field may be constrained once, to a non-empty string, and a query
+// holds at most one near(). Under those rules the conjuncts are
+// independent events on the records extraction and integration build (one
+// certain text leaf, or one mux of text leaves, per top-level field), so
+// the product of their marginals is the possible-worlds probability.
 //
 // near($x, lat, lon, radiusMeters) matches records whose indexed location
 // lies within radiusMeters of (lat, lon) — the spatial extension the paper
-// asks of the probabilistic XML database.
+// asks of the probabilistic XML database. It is crisp: 1 or 0.
 
-// Query is a parsed query.
+// Query is a parsed query: a conjunctive plan.
 type Query struct {
 	TopK         int // 0 means all results
-	Var          string
 	Collection   string
-	Where        Expr // nil means match everything
+	Where        []Equal // on distinct fields
+	Near         *Near   // nil when there is no spatial conjunct
 	OrderByScore bool
 }
 
-// Expr is a boolean/probabilistic condition tree.
-type Expr interface{ exprNode() }
-
-// Cmp compares a field path against a literal.
-type Cmp struct {
-	Path  string // relative to the record root, e.g. "City"
-	Op    string // == != < <= > >=
-	Str   string // literal as written
-	Num   float64
-	IsNum bool
+// Equal is the conjunct $x/Path == "Value" on a top-level field.
+type Equal struct {
+	Path, Value string
 }
 
-// And is conjunction, Or disjunction, Not negation.
-type And struct{ L, R Expr }
-
-// Or is disjunction.
-type Or struct{ L, R Expr }
-
-// Not is negation.
-type Not struct{ E Expr }
-
-// Near is the spatial predicate near($x, lat, lon, radius).
+// Near is the spatial conjunct near($x, lat, lon, radius).
 type Near struct {
-	Lat, Lon     float64
+	Center       geo.Point
 	RadiusMeters float64
 }
 
-func (Cmp) exprNode()  {}
-func (And) exprNode()  {}
-func (Or) exprNode()   {}
-func (Not) exprNode()  {}
-func (Near) exprNode() {}
-
-type parser struct {
-	toks []qtok
-	pos  int
+// String writes q in the syntax Parse reads, naming the variable $x and
+// listing near() first. It is the only writer of the syntax: near's
+// coordinates are written to four decimals and its radius to the metre,
+// so Parse(q.String()).String() == q.String().
+func (q *Query) String() string {
+	var conds []string
+	if n := q.Near; n != nil {
+		conds = append(conds, fmt.Sprintf("near($x, %.4f, %.4f, %.0f)", n.Center.Lat, n.Center.Lon, n.RadiusMeters))
+	}
+	for _, e := range q.Where {
+		conds = append(conds, fmt.Sprintf(`$x/%s == "%s"`, e.Path, e.Value))
+	}
+	var b strings.Builder
+	if q.TopK > 0 {
+		fmt.Fprintf(&b, "topk(%d, ", q.TopK)
+	}
+	b.WriteString("for $x in //" + q.Collection)
+	if len(conds) > 0 {
+		b.WriteString(" where " + strings.Join(conds, " and "))
+	}
+	if q.OrderByScore {
+		b.WriteString(" orderby score($x)")
+	}
+	b.WriteString(" return $x")
+	if q.TopK > 0 {
+		b.WriteString(")")
+	}
+	return b.String()
 }
 
 type qtok struct {
@@ -85,86 +89,98 @@ type qtok struct {
 	text string
 }
 
+// parser reads tokens with a sticky error: after the first failure every
+// step is a no-op that consumes, and Parse reports that first failure.
+type parser struct {
+	toks []qtok
+	pos  int
+	err  error
+}
+
 // Parse parses a query string.
-func Parse(q string) (*Query, error) {
-	toks, err := lex(q)
+func Parse(s string) (*Query, error) {
+	toks, err := lex(s)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	query, err := p.parseQuery()
-	if err != nil {
-		return nil, err
+	q := &Query{}
+	if p.accept("ident", "topk") {
+		p.expect("punct", "(")
+		t := p.expect("num", "")
+		if k, err := strconv.Atoi(t.text); err != nil || k < 1 {
+			p.fail("invalid topk count %q", t.text)
+		} else {
+			q.TopK = k
+		}
+		p.expect("punct", ",")
 	}
-	if p.pos != len(p.toks) {
-		return nil, fmt.Errorf("xmldb: trailing input at %q", p.peek().text)
+	p.flwor(q)
+	if q.TopK > 0 {
+		p.expect("punct", ")")
 	}
-	return query, nil
+	if p.err == nil && p.pos != len(p.toks) {
+		p.fail("trailing input at %q", p.peek().text)
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return q, nil
 }
+
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
 
 func lex(s string) ([]qtok, error) {
 	var out []qtok
-	i := 0
 	runes := []rune(s)
-	for i < len(runes) {
-		r := runes[i]
+	for i := 0; i < len(runes); {
+		r, j := runes[i], i+1
 		switch {
 		case unicode.IsSpace(r):
-			i++
-		case r == '$':
-			j := i + 1
-			for j < len(runes) && (unicode.IsLetter(runes[j]) || unicode.IsDigit(runes[j]) || runes[j] == '_') {
+		case r == '$' || r == '_' || unicode.IsLetter(r):
+			for j < len(runes) && isWordRune(runes[j]) {
 				j++
 			}
-			if j == i+1 {
-				return nil, fmt.Errorf("xmldb: bare $ at offset %d", i)
+			kind := "ident"
+			if r == '$' {
+				if j == i+1 {
+					return nil, fmt.Errorf("xmldb: bare $ at offset %d", i)
+				}
+				kind = "var"
 			}
-			out = append(out, qtok{"var", string(runes[i:j])})
-			i = j
-		case r == '"' || r == '\'' || r == '“' || r == '”':
-			quote := r
-			closer := quote
-			if quote == '“' {
-				closer = '”'
-			}
-			j := i + 1
-			for j < len(runes) && runes[j] != closer && !(closer == '”' && runes[j] == '"') && !(quote == '"' && runes[j] == '”') {
+			out = append(out, qtok{kind, string(runes[i:j])})
+		case r == '"' || r == '“' || r == '”':
+			// The paper's own example uses typographic quotes.
+			for j < len(runes) && runes[j] != '"' && runes[j] != '”' {
 				j++
 			}
-			if j >= len(runes) {
+			if j == len(runes) {
 				return nil, fmt.Errorf("xmldb: unterminated string at offset %d", i)
 			}
 			out = append(out, qtok{"str", string(runes[i+1 : j])})
-			i = j + 1
-		case unicode.IsDigit(r) || (r == '-' && i+1 < len(runes) && unicode.IsDigit(runes[i+1])):
-			j := i + 1
+			j++
+		case unicode.IsDigit(r) || (r == '-' && j < len(runes) && unicode.IsDigit(runes[j])):
 			for j < len(runes) && (unicode.IsDigit(runes[j]) || runes[j] == '.') {
 				j++
 			}
 			out = append(out, qtok{"num", string(runes[i:j])})
-			i = j
-		case unicode.IsLetter(r) || r == '_':
-			j := i
-			for j < len(runes) && (unicode.IsLetter(runes[j]) || unicode.IsDigit(runes[j]) || runes[j] == '_') {
-				j++
-			}
-			out = append(out, qtok{"ident", string(runes[i:j])})
-			i = j
 		case strings.ContainsRune("(),/", r):
 			out = append(out, qtok{"punct", string(r)})
-			i++
-		case r == '=' || r == '!' || r == '<' || r == '>':
-			j := i + 1
-			if j < len(runes) && runes[j] == '=' {
-				j++
-			}
-			out = append(out, qtok{"punct", string(runes[i:j])})
-			i = j
+		case r == '=' && j < len(runes) && runes[j] == '=':
+			out = append(out, qtok{"punct", "=="})
+			j++
 		default:
 			return nil, fmt.Errorf("xmldb: unexpected character %q at offset %d", r, i)
 		}
+		i = j
 	}
 	return out, nil
+}
+
+func (p *parser) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("xmldb: "+format, args...)
+	}
 }
 
 func (p *parser) peek() qtok {
@@ -174,264 +190,100 @@ func (p *parser) peek() qtok {
 	return qtok{}
 }
 
-func (p *parser) next() qtok {
+// match reports whether t has the kind and, unless text is empty, the
+// text; keywords compare case-insensitively.
+func match(t qtok, kind, text string) bool {
+	return t.kind == kind && (text == "" || t.text == text || (kind == "ident" && strings.EqualFold(t.text, text)))
+}
+
+func (p *parser) accept(kind, text string) bool {
+	if p.err == nil && match(p.peek(), kind, text) {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+func (p *parser) expect(kind, text string) qtok {
 	t := p.peek()
 	p.pos++
+	if !match(t, kind, text) {
+		if text == "" {
+			text = kind
+		}
+		p.fail("expected %s, got %q", text, t.text)
+	}
 	return t
 }
 
-func (p *parser) acceptIdent(word string) bool {
-	t := p.peek()
-	if t.kind == "ident" && strings.EqualFold(t.text, word) {
-		p.pos++
-		return true
+func (p *parser) number() float64 {
+	t := p.expect("num", "")
+	f, err := strconv.ParseFloat(t.text, 64)
+	if err != nil {
+		p.fail("bad number %q", t.text)
 	}
-	return false
+	return f
 }
 
-func (p *parser) expectIdent(word string) error {
-	if !p.acceptIdent(word) {
-		return fmt.Errorf("xmldb: expected %q, got %q", word, p.peek().text)
-	}
-	return nil
-}
-
-func (p *parser) acceptPunct(s string) bool {
-	t := p.peek()
-	if t.kind == "punct" && t.text == s {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expectPunct(s string) error {
-	if !p.acceptPunct(s) {
-		return fmt.Errorf("xmldb: expected %q, got %q", s, p.peek().text)
-	}
-	return nil
-}
-
-func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{}
-	if p.acceptIdent("topk") {
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
+func (p *parser) flwor(q *Query) {
+	p.expect("ident", "for")
+	v := p.expect("var", "").text
+	p.expect("ident", "in")
+	p.expect("punct", "/")
+	p.expect("punct", "/")
+	q.Collection = p.expect("ident", "").text
+	if p.accept("ident", "where") {
+		p.cond(q, v)
+		for p.accept("ident", "and") {
+			p.cond(q, v)
 		}
-		t := p.next()
-		if t.kind != "num" {
-			return nil, fmt.Errorf("xmldb: topk expects a count, got %q", t.text)
-		}
-		k, err := strconv.Atoi(t.text)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("xmldb: invalid topk count %q", t.text)
-		}
-		q.TopK = k
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if err := p.parseFLWOR(q); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return q, nil
 	}
-	if err := p.parseFLWOR(q); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-func (p *parser) parseFLWOR(q *Query) error {
-	if err := p.expectIdent("for"); err != nil {
-		return err
-	}
-	v := p.next()
-	if v.kind != "var" {
-		return fmt.Errorf("xmldb: expected variable, got %q", v.text)
-	}
-	q.Var = v.text
-	if err := p.expectIdent("in"); err != nil {
-		return err
-	}
-	if err := p.expectPunct("/"); err != nil {
-		return err
-	}
-	if err := p.expectPunct("/"); err != nil {
-		return err
-	}
-	coll := p.next()
-	if coll.kind != "ident" {
-		return fmt.Errorf("xmldb: expected collection name, got %q", coll.text)
-	}
-	q.Collection = coll.text
-	if p.acceptIdent("where") {
-		e, err := p.parseOr(q.Var)
-		if err != nil {
-			return err
-		}
-		q.Where = e
-	}
-	if p.acceptIdent("orderby") {
-		if err := p.expectIdent("score"); err != nil {
-			return err
-		}
-		if err := p.expectPunct("("); err != nil {
-			return err
-		}
-		sv := p.next()
-		if sv.kind != "var" || sv.text != q.Var {
-			return fmt.Errorf("xmldb: score() expects %s, got %q", q.Var, sv.text)
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return err
-		}
+	if p.accept("ident", "orderby") {
+		p.expect("ident", "score")
+		p.expect("punct", "(")
+		p.expect("var", v)
+		p.expect("punct", ")")
 		q.OrderByScore = true
 	}
-	if err := p.expectIdent("return"); err != nil {
-		return err
-	}
-	rv := p.next()
-	if rv.kind != "var" || rv.text != q.Var {
-		return fmt.Errorf("xmldb: return expects %s, got %q", q.Var, rv.text)
-	}
-	return nil
+	p.expect("ident", "return")
+	p.expect("var", v)
 }
 
-func (p *parser) parseOr(v string) (Expr, error) {
-	l, err := p.parseAnd(v)
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptIdent("or") {
-		r, err := p.parseAnd(v)
-		if err != nil {
-			return nil, err
+func (p *parser) cond(q *Query, v string) {
+	if p.accept("ident", "near") {
+		p.expect("punct", "(")
+		p.expect("var", v)
+		p.expect("punct", ",")
+		lat := p.number()
+		p.expect("punct", ",")
+		lon := p.number()
+		p.expect("punct", ",")
+		radius := p.number()
+		p.expect("punct", ")")
+		center, err := geo.NewPoint(lat, lon)
+		switch {
+		case err != nil:
+			p.fail("near(): %v", err)
+		case radius < 0:
+			p.fail("negative radius %v", radius)
+		case q.Near != nil:
+			p.fail("a second near()")
 		}
-		l = Or{L: l, R: r}
+		q.Near = &Near{Center: center, RadiusMeters: radius}
+		return
 	}
-	return l, nil
-}
-
-func (p *parser) parseAnd(v string) (Expr, error) {
-	l, err := p.parseUnary(v)
-	if err != nil {
-		return nil, err
+	p.expect("var", v)
+	p.expect("punct", "/")
+	e := Equal{Path: p.expect("ident", "").text}
+	p.expect("punct", "==")
+	e.Value = p.expect("str", "").text
+	if e.Value == "" {
+		p.fail("empty value for %s", e.Path)
 	}
-	for p.acceptIdent("and") {
-		r, err := p.parseUnary(v)
-		if err != nil {
-			return nil, err
-		}
-		l = And{L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseUnary(v string) (Expr, error) {
-	if p.acceptIdent("not") {
-		e, err := p.parsePrimary(v)
-		if err != nil {
-			return nil, err
-		}
-		return Not{E: e}, nil
-	}
-	return p.parsePrimary(v)
-}
-
-func (p *parser) parsePrimary(v string) (Expr, error) {
-	if p.acceptPunct("(") {
-		e, err := p.parseOr(v)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	if p.acceptIdent("near") {
-		return p.parseNear(v)
-	}
-	// Comparison: $x/Path op literal.
-	t := p.next()
-	if t.kind != "var" || t.text != v {
-		return nil, fmt.Errorf("xmldb: expected %s, got %q", v, t.text)
-	}
-	if err := p.expectPunct("/"); err != nil {
-		return nil, err
-	}
-	var segs []string
-	for {
-		seg := p.next()
-		if seg.kind != "ident" {
-			return nil, fmt.Errorf("xmldb: expected path segment, got %q", seg.text)
-		}
-		segs = append(segs, seg.text)
-		if !p.acceptPunct("/") {
-			break
+	for _, w := range q.Where {
+		if w.Path == e.Path {
+			p.fail("field %s constrained twice", e.Path)
 		}
 	}
-	op := p.next()
-	switch op.text {
-	case "==", "!=", "<", "<=", ">", ">=":
-	case "=":
-		op.text = "=="
-	default:
-		return nil, fmt.Errorf("xmldb: expected comparison operator, got %q", op.text)
-	}
-	lit := p.next()
-	cmp := Cmp{Path: strings.Join(segs, "/"), Op: op.text}
-	switch lit.kind {
-	case "str":
-		cmp.Str = lit.text
-	case "num":
-		n, err := strconv.ParseFloat(lit.text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("xmldb: bad number %q", lit.text)
-		}
-		cmp.Num = n
-		cmp.IsNum = true
-		cmp.Str = lit.text
-	default:
-		return nil, fmt.Errorf("xmldb: expected literal, got %q", lit.text)
-	}
-	if !cmp.IsNum && cmp.Op != "==" && cmp.Op != "!=" {
-		return nil, fmt.Errorf("xmldb: operator %q needs a numeric literal, got %q", cmp.Op, cmp.Str)
-	}
-	return cmp, nil
-}
-
-func (p *parser) parseNear(v string) (Expr, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	t := p.next()
-	if t.kind != "var" || t.text != v {
-		return nil, fmt.Errorf("xmldb: near() expects %s, got %q", v, t.text)
-	}
-	var vals [3]float64
-	for i := 0; i < 3; i++ {
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		n := p.next()
-		if n.kind != "num" {
-			return nil, fmt.Errorf("xmldb: near() expects a number, got %q", n.text)
-		}
-		f, err := strconv.ParseFloat(n.text, 64)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = f
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	if vals[2] < 0 {
-		return nil, fmt.Errorf("xmldb: negative radius %v", vals[2])
-	}
-	return Near{Lat: vals[0], Lon: vals[1], RadiusMeters: vals[2]}, nil
+	q.Where = append(q.Where, e)
 }

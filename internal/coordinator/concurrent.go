@@ -21,12 +21,11 @@ import (
 // (SetWorkers, default GOMAXPROCS) runs classification, extraction and
 // question answering in parallel; and one integration-lane goroutine per
 // Integrator lane folds the workers' templates into amortized database
-// batches (SetBatchSize), acknowledging each batch with one
-// group-committed queue operation. Workers route each message's template
-// group to its lane (Integrator.Route), so lanes for different shards
-// commit batches and group-ack in parallel. With a one-lane Integrator
-// (SingleLane) this is exactly the single batching-integrator pipeline;
-// with shard.Integrator the pipeline's tail scales out with the store.
+// batches of up to integrateBatch messages, acknowledging each batch
+// with one group-committed queue operation. Workers route each message's
+// template group to its lane (Integrator.Route), so lanes for different
+// shards commit batches and group-ack in parallel: the pipeline's tail
+// scales out with the store.
 //
 // Every dispatched message comes back as exactly one completion on a
 // channel only the calling goroutine reads, and emit runs there — never
@@ -49,13 +48,13 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 	jobs := make(chan mq.Message)
 	// A lane hands back a whole batch of completions without a rendezvous
 	// per message.
-	done := make(chan completion, c.batchSize)
+	done := make(chan completion, integrateBatch)
 	// Each lane's buffer must fit a full batch on top of one in-flight
 	// job per worker, or the group commit could never amortize past the
 	// worker count.
 	lanes := make([]chan integrationJob, c.di.Lanes())
 	for i := range lanes {
-		lanes[i] = make(chan integrationJob, c.workers+c.batchSize)
+		lanes[i] = make(chan integrationJob, c.workers+integrateBatch)
 	}
 
 	var workersWG sync.WaitGroup
@@ -104,7 +103,6 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 		if !holding && (limit <= 0 || dispatched < limit) && ctx.Err() == nil {
 			if held, holding = c.queue.Dequeue(); holding {
 				dispatched++
-				c.signal(Signal{MessageID: held.ID, From: "MC", To: "IE", Step: StepClassify})
 			}
 		}
 		// Nothing leased and nothing outstanding: every nack of ours
@@ -160,15 +158,11 @@ type integrationJob struct {
 // they spread across lanes by message ID so no single lane becomes the
 // ack bottleneck.
 func (c *Coordinator) workOne(ctx context.Context, m mq.Message, lanes []chan integrationJob, done chan<- completion) {
-	if m.Trace != "" {
-		ctx = obs.WithTrace(ctx, m.Trace)
-	}
 	// The span covers only the front half (extract/answer); integration
 	// happens later in a lane batch and is traced as its own
 	// integrate_batch timeline.
-	ctx, sp := obs.StartSpan(ctx, spanPipelineMessage)
-	sp.SetAttr("msg_id", strconv.FormatInt(m.ID, 10))
-	out, tpls, err := c.prepare(ctx, m)
+	ctx, sp := messageSpan(ctx, m)
+	out, tpls, err := c.front(ctx, m)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
@@ -196,7 +190,7 @@ func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan 
 		}
 		batch := []integrationJob{job}
 	collect:
-		for len(batch) < c.batchSize {
+		for len(batch) < integrateBatch {
 			select {
 			case next, ok := <-integ:
 				if !ok {

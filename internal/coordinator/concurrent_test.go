@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/extract"
+	"repro/internal/integrate"
 	"repro/internal/mq"
 )
 
@@ -18,7 +20,6 @@ import (
 func TestDrainConcurrentExactlyOnce(t *testing.T) {
 	c, db := newCoordinator(t)
 	c.SetWorkers(4)
-	c.SetBatchSize(8)
 
 	const total = 60
 	for i := 0; i < total; i++ {
@@ -74,15 +75,28 @@ func TestDrainConcurrentLimit(t *testing.T) {
 	}
 }
 
+// failingIntegrator fails every non-empty template group, so every
+// report's integration errors while requests (empty groups) commit.
+type failingIntegrator struct{}
+
+func (failingIntegrator) Lanes() int                   { return 1 }
+func (failingIntegrator) Route([]extract.Template) int { return 0 }
+func (failingIntegrator) IntegrateGroups(_ int, groups [][]extract.Template) [][]integrate.BatchResult {
+	results := make([][]integrate.BatchResult, len(groups))
+	for i, g := range groups {
+		if len(g) > 0 {
+			results[i] = []integrate.BatchResult{{Err: errors.New("injected integration failure")}}
+		}
+	}
+	return results
+}
+
 // Messages whose workflow errors are redelivered and ultimately
 // dead-lettered without wedging the concurrent drain.
 func TestDrainConcurrentErrorsDeadLetter(t *testing.T) {
 	c, _ := newCoordinator(t)
 	c.SetWorkers(2)
-	c.rules = Rules{
-		extract.TypeInformative: {Step("bogus")},
-		extract.TypeRequest:     {StepClassify, StepExtract, StepAnswer},
-	}
+	c.di = failingIntegrator{}
 	if _, err := c.Submit(context.Background(), "lovely Axel Hotel in Berlin", "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -271,29 +285,5 @@ func TestDrainEachEmitPanicReachesCaller(t *testing.T) {
 	outs, errs := drainEach(context.Background(), c, 0)
 	if len(errs) != 0 || st.Acked+len(outs) != total {
 		t.Fatalf("acked %d + redrained %d (errs %v), want %d", st.Acked, len(outs), errs, total)
-	}
-}
-
-// A failed MQ tag lands in the signal log instead of being silently
-// swallowed (regression: process used to discard the Tag error).
-func TestTagFailureRecordedInSignals(t *testing.T) {
-	c, _ := newCoordinator(t)
-	// A message that was never enqueued cannot be tagged.
-	_, _, err := c.prepare(context.Background(), mq.Message{ID: 9999, Body: "loved the Axel Hotel in Berlin", Source: "ghost"})
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	var tagErr *Signal
-	for _, s := range c.Signals() {
-		if s.Step == StepTagError {
-			tagErr = &s
-			break
-		}
-	}
-	if tagErr == nil {
-		t.Fatal("tag failure not recorded in signal log")
-	}
-	if tagErr.MessageID != 9999 || tagErr.Note == "" {
-		t.Fatalf("tag-error signal incomplete: %+v", *tagErr)
 	}
 }

@@ -4,9 +4,11 @@
 // contributions and requests, and sends activation messages to the
 // intended services according to set of workflow rules."
 //
-// The workflow rules are data, not code: a message type maps to a list of
-// named steps, each dispatched to a service. Every activation is recorded
-// as a Signal, mirroring the signal-passing protocol the paper describes.
+// The paper's two workflows are one branch on the classified message
+// type: an informative message flows IE → DI, a request IE → QA. Every
+// activation is a span on the message's timeline (pipeline_message →
+// extract / answer / integrate, or a lane's integrate_batch), and
+// Outcome.Type carries the type the paper tags the queued message with.
 package coordinator
 
 import (
@@ -15,7 +17,6 @@ import (
 	"log/slog"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/extract"
@@ -23,21 +24,6 @@ import (
 	"repro/internal/mq"
 	"repro/internal/obs"
 	"repro/internal/qa"
-)
-
-// Step names a workflow action.
-type Step string
-
-// Workflow steps.
-const (
-	StepClassify  Step = "classify"
-	StepExtract   Step = "extract"
-	StepIntegrate Step = "integrate"
-	StepAnswer    Step = "answer"
-	// StepTagError records a failed attempt to tag a message on the MQ
-	// with its classified type; tagging is advisory, so the workflow
-	// continues, but the failure is kept in the signal log.
-	StepTagError Step = "tag-error"
 )
 
 // Span names of the coordinator's stages (bounded constants; variable
@@ -50,28 +36,9 @@ const (
 	spanIntegrateBatch  = "integrate_batch"
 )
 
-// Rules maps a message type to its step sequence — the paper's Work Flow
-// Rules (WFR) module.
-type Rules map[extract.MessageType][]Step
-
-// DefaultRules reproduces the paper's two workflows: informative messages
-// flow IE → DI; requests flow IE → QA.
-func DefaultRules() Rules {
-	return Rules{
-		extract.TypeInformative: {StepClassify, StepExtract, StepIntegrate},
-		extract.TypeRequest:     {StepClassify, StepExtract, StepAnswer},
-	}
-}
-
-// Signal is one recorded module activation.
-type Signal struct {
-	MessageID int64
-	From, To  string
-	Step      Step
-	At        time.Time
-	// Note carries diagnostic detail for error signals (StepTagError).
-	Note string
-}
+// integrateBatch caps how many messages an integration lane folds into
+// one amortized database batch and one group-committed acknowledgement.
+const integrateBatch = 16
 
 // Outcome summarises the processing of one message.
 type Outcome struct {
@@ -81,14 +48,9 @@ type Outcome struct {
 	Domain    string
 	// Inserted/Merged count integration actions for informative messages.
 	Inserted, Merged int
-	// Answer is the QA reply for request messages.
-	Answer string
-	// Query is the formulated DB query for request messages.
-	Query string
-	// Response is the QA service's full structured answer for request
+	// Response is the QA service's structured answer for request
 	// messages — generated text, formulated query and the ranked results
-	// with their certainties — of which Answer/Query are the flattened
-	// legacy projection. Nil for informative messages.
+	// with their certainties. Nil for informative messages.
 	Response *qa.Answer
 	// Trace is the observability trace ID the message carried through
 	// the queue (empty for untraced submissions).
@@ -111,9 +73,8 @@ func (e *NotAQuestionError) Error() string {
 }
 
 // Integrator is the integration sink of the coordinator: a set of
-// independent lanes, each owning one store. The single-store system has
-// one lane (SingleLane); a sharded system has one lane per shard
-// (shard.Integrator). The coordinator serialises IntegrateGroups calls
+// independent lanes, each owning one store — shard.Integrator, with one
+// lane per shard. The coordinator serialises IntegrateGroups calls
 // per lane within one drain (DrainEach runs exactly one goroutine per
 // lane); calls from concurrent drains, or from ProcessOne beside a drain,
 // are serialised by the lane's own store lock. Distinct lanes commit in
@@ -131,68 +92,37 @@ type Integrator interface {
 	IntegrateGroups(lane int, groups [][]extract.Template) [][]integrate.BatchResult
 }
 
-// singleLane adapts the unsharded integration service to the Integrator
-// interface: one lane, everything routed to it.
-type singleLane struct{ di *integrate.Service }
-
-// SingleLane wraps a single-store integration service as a one-lane
-// Integrator — the unsharded configuration.
-func SingleLane(di *integrate.Service) Integrator { return singleLane{di: di} }
-
-func (s singleLane) Lanes() int                   { return 1 }
-func (s singleLane) Route([]extract.Template) int { return 0 }
-func (s singleLane) IntegrateGroups(_ int, groups [][]extract.Template) [][]integrate.BatchResult {
-	return s.di.IntegrateGroups(groups)
-}
-
 // Coordinator wires the queue to the services.
 type Coordinator struct {
 	queue *mq.Queue
 	ie    *extract.Service
 	di    Integrator
 	qa    *qa.Service
-	rules Rules
 	clock func() time.Time
-
-	mu      sync.Mutex
-	signals []Signal
-	// maxSignals bounds the in-memory signal log.
-	maxSignals int
 
 	// workers is the width of DrainEach's worker pool (default GOMAXPROCS).
 	workers int
-	// batchSize caps how many integration jobs the batching stage folds
-	// into one amortized database batch (default 16).
-	batchSize int
 }
 
 // slowTransit is the enqueue→acknowledged duration past which a
 // message's completion logs at warn instead of debug.
 const slowTransit = 5 * time.Second
 
-// New wires a coordinator around an Integrator — SingleLane for the
-// single-store system, shard.NewIntegrator for a sharded one. A nil
-// rules uses DefaultRules.
-func New(queue *mq.Queue, ie *extract.Service, di Integrator, ans *qa.Service, rules Rules) (*Coordinator, error) {
+// New wires a coordinator around an Integrator (shard.NewIntegrator).
+func New(queue *mq.Queue, ie *extract.Service, di Integrator, ans *qa.Service) (*Coordinator, error) {
 	if queue == nil || ie == nil || di == nil || ans == nil {
 		return nil, fmt.Errorf("coordinator: nil dependency")
 	}
 	if di.Lanes() < 1 {
 		return nil, fmt.Errorf("coordinator: integrator has %d lanes", di.Lanes())
 	}
-	if rules == nil {
-		rules = DefaultRules()
-	}
 	return &Coordinator{
-		queue:      queue,
-		ie:         ie,
-		di:         di,
-		qa:         ans,
-		rules:      rules,
-		clock:      time.Now,
-		maxSignals: 10000,
-		workers:    runtime.GOMAXPROCS(0),
-		batchSize:  16,
+		queue:   queue,
+		ie:      ie,
+		di:      di,
+		qa:      ans,
+		clock:   time.Now,
+		workers: runtime.GOMAXPROCS(0),
 	}, nil
 }
 
@@ -208,15 +138,6 @@ func (c *Coordinator) SetWorkers(n int) {
 	c.workers = n
 }
 
-// SetBatchSize caps the integration batching stage; n <= 0 restores the
-// default (16). Not safe to call while a drain is running.
-func (c *Coordinator) SetBatchSize(n int) {
-	if n <= 0 {
-		n = 16
-	}
-	c.batchSize = n
-}
-
 // Submit enqueues a user message and returns its queue ID ("Once a
 // message is received, it is placed in the MQ"). The trace ID carried
 // by ctx (obs.WithTrace) — or minted here when the caller brought none
@@ -224,12 +145,7 @@ func (c *Coordinator) SetBatchSize(n int) {
 // across the queue hop.
 func (c *Coordinator) Submit(ctx context.Context, body, source string) (int64, error) {
 	_, trace := obs.EnsureTrace(ctx)
-	id, err := c.queue.EnqueueTraced(body, source, trace)
-	if err != nil {
-		return 0, err
-	}
-	c.signal(Signal{MessageID: id, From: "user", To: "MC", Step: "submit"})
-	return id, nil
+	return c.queue.EnqueueTraced(body, source, trace)
 }
 
 // ProcessOne handles the next queued message through its workflow, inline
@@ -246,13 +162,11 @@ func (c *Coordinator) ProcessOne(ctx context.Context) (*Outcome, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	c.signal(Signal{MessageID: m.ID, From: "MC", To: "IE", Step: StepClassify})
-	if m.Trace != "" {
-		ctx = obs.WithTrace(ctx, m.Trace)
+	ctx, sp := messageSpan(ctx, m)
+	out, tpls, err := c.front(ctx, m)
+	if err == nil && len(tpls) > 0 {
+		err = c.integrateInto(ctx, out, tpls)
 	}
-	ctx, sp := obs.StartSpan(ctx, spanPipelineMessage)
-	sp.SetAttr("msg_id", strconv.FormatInt(m.ID, 10))
-	out, err := c.process(ctx, m)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
@@ -263,6 +177,17 @@ func (c *Coordinator) ProcessOne(ctx context.Context) (*Outcome, bool, error) {
 	}
 	c.finish(m, out)
 	return out, true, nil
+}
+
+// messageSpan opens a dequeued message's pipeline_message span, under
+// the trace ID the message carried across the queue hop.
+func messageSpan(ctx context.Context, m mq.Message) (context.Context, *obs.Span) {
+	if m.Trace != "" {
+		ctx = obs.WithTrace(ctx, m.Trace)
+	}
+	ctx, sp := obs.StartSpan(ctx, spanPipelineMessage)
+	sp.SetAttr("msg_id", strconv.FormatInt(m.ID, 10))
+	return ctx, sp
 }
 
 // fail returns a message whose workflow errored to the queue for
@@ -307,72 +232,36 @@ func (c *Coordinator) AskDirect(ctx context.Context, body, source string) (*qa.A
 		// recorded timeline; with tracing off the trace ID is "".
 		mAskSeconds.ObserveExemplar(time.Since(askStart).Seconds(), obs.SpanFromContext(ctx).TraceID())
 	}()
-	exCtx, exSpan := obs.StartSpan(ctx, spanExtract)
-	exStart := time.Now()
-	ex, err := c.ie.Extract(exCtx, body, source, c.clock())
-	stageExtract.Since(exStart)
-	exSpan.SetError(err)
-	exSpan.End()
+	// The same front half the queue engines run, on a message that never
+	// entered the queue.
+	out, _, err := c.front(ctx, mq.Message{Body: body, Source: source})
 	if err != nil {
 		return nil, err
 	}
-	c.signal(Signal{From: "user", To: "IE", Step: StepClassify})
-	if ex.Type != extract.TypeRequest {
-		return nil, &NotAQuestionError{Type: ex.Type, TypeP: ex.TypeP}
-	}
-	c.signal(Signal{From: "MC", To: "QA", Step: StepAnswer})
-	ansCtx, ansSpan := obs.StartSpan(ctx, spanAnswer)
-	ansStart := time.Now()
-	ans, err := c.qa.Answer(ansCtx, ex)
-	stageAnswer.Since(ansStart)
-	ansSpan.SetError(err)
-	ansSpan.End()
-	if err != nil {
-		return nil, err
+	if out.Response == nil {
+		return nil, &NotAQuestionError{Type: out.Type, TypeP: out.TypeP}
 	}
 	if trace := obs.Trace(ctx); trace != "" {
-		slog.Debug("ask answered", "trace", trace, "results", len(ans.Results))
+		slog.Debug("ask answered", "trace", trace, "results", len(out.Response.Results))
 	}
-	return &ans, nil
+	return out.Response, nil
 }
 
-func (c *Coordinator) process(ctx context.Context, m mq.Message) (*Outcome, error) {
-	out, tpls, err := c.prepare(ctx, m)
-	if err != nil {
-		return nil, err
-	}
-	if len(tpls) > 0 {
-		if err := c.integrateInto(ctx, out, tpls); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// prepare runs the extraction/classification stages of a message's
-// workflow and returns its outcome plus any templates still awaiting
-// integration — the parallelizable front half of the pipeline. Request
-// messages are answered here (read-only); informative messages hand their
-// templates to the caller's integration stage.
-func (c *Coordinator) prepare(ctx context.Context, m mq.Message) (*Outcome, []extract.Template, error) {
-	now := c.clock()
+// front runs the front half of a message's workflow, shared by
+// ProcessOne, the DrainEach workers and AskDirect: extraction, then the
+// paper's two workflows as one branch on the classified type. A request
+// is answered here, read-only (IE → QA); an informative message returns
+// its templates for the caller's integration stage (IE → DI).
+func (c *Coordinator) front(ctx context.Context, m mq.Message) (*Outcome, []extract.Template, error) {
 	exCtx, exSpan := obs.StartSpan(ctx, spanExtract)
 	exStart := time.Now()
-	ex, err := c.ie.Extract(exCtx, m.Body, m.Source, now)
+	ex, err := c.ie.Extract(exCtx, m.Body, m.Source, c.clock())
 	stageExtract.Since(exStart)
 	exSpan.SetError(err)
 	exSpan.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	// "A tag is then attached to the message on the MQ indicating its
-	// type." Tagging is advisory: a failure (the message vanished from the
-	// queue, e.g. after lease expiry and redelivery) is recorded in the
-	// signal log rather than aborting the workflow.
-	if err := c.queue.Tag(m.ID, string(ex.Type)); err != nil {
-		c.signal(Signal{MessageID: m.ID, From: "MQ", To: "MC", Step: StepTagError, Note: err.Error()})
-	}
-
 	out := &Outcome{
 		MessageID: m.ID,
 		Type:      ex.Type,
@@ -380,39 +269,20 @@ func (c *Coordinator) prepare(ctx context.Context, m mq.Message) (*Outcome, []ex
 		Domain:    ex.Domain,
 		Trace:     m.Trace,
 	}
-	steps, ok := c.rules[ex.Type]
-	if !ok {
-		return nil, nil, fmt.Errorf("no workflow rule for message type %q", ex.Type)
+	if ex.Type != extract.TypeRequest {
+		return out, ex.Templates, nil
 	}
-	var pending []extract.Template
-	for _, step := range steps {
-		switch step {
-		case StepClassify, StepExtract:
-			// Already performed by the IE call above; recorded for the
-			// signal trail.
-			c.signal(Signal{MessageID: m.ID, From: "IE", To: "MC", Step: step})
-		case StepIntegrate:
-			c.signal(Signal{MessageID: m.ID, From: "MC", To: "DI", Step: step})
-			pending = append(pending, ex.Templates...)
-		case StepAnswer:
-			c.signal(Signal{MessageID: m.ID, From: "MC", To: "QA", Step: step})
-			ansCtx, ansSpan := obs.StartSpan(ctx, spanAnswer)
-			ansStart := time.Now()
-			ans, err := c.qa.Answer(ansCtx, ex)
-			stageAnswer.Since(ansStart)
-			ansSpan.SetError(err)
-			ansSpan.End()
-			if err != nil {
-				return nil, nil, err
-			}
-			out.Answer = ans.Text
-			out.Query = ans.Query
-			out.Response = &ans
-		default:
-			return nil, nil, fmt.Errorf("unknown workflow step %q", step)
-		}
+	ansCtx, ansSpan := obs.StartSpan(ctx, spanAnswer)
+	ansStart := time.Now()
+	ans, err := c.qa.Answer(ansCtx, ex)
+	stageAnswer.Since(ansStart)
+	ansSpan.SetError(err)
+	ansSpan.End()
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, pending, nil
+	out.Response = &ans
+	return out, nil, nil
 }
 
 // integrateInto applies a message's templates in order as one amortized
@@ -446,21 +316,4 @@ func foldGroup(out *Outcome, results []integrate.BatchResult) error {
 		}
 	}
 	return nil
-}
-
-func (c *Coordinator) signal(s Signal) {
-	s.At = c.clock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.signals = append(c.signals, s)
-	if len(c.signals) > c.maxSignals {
-		c.signals = c.signals[len(c.signals)-c.maxSignals:]
-	}
-}
-
-// Signals returns a copy of the recorded activation log.
-func (c *Coordinator) Signals() []Signal {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Signal(nil), c.signals...)
 }

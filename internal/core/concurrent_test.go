@@ -28,7 +28,7 @@ func TestProcessConcurrentMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seq.Close()
-	conc, err := New(Config{GazetteerNames: 300, Workers: 4, IntegrateBatch: 8, Clock: func() time.Time { return t0 }})
+	conc, err := New(Config{GazetteerNames: 300, Workers: 4, Clock: func() time.Time { return t0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestProcessConcurrentMatchesSequential(t *testing.T) {
 	if len(concOuts) != len(seqOuts) {
 		t.Fatalf("outcomes: conc=%d seq=%d", len(concOuts), len(seqOuts))
 	}
-	if got, want := conc.DB.Len("Hotels"), seq.DB.Len("Hotels"); got != want {
+	if got, want := conc.Store.Shard(0).Len("Hotels"), seq.Store.Shard(0).Len("Hotels"); got != want {
 		t.Fatalf("Hotels: conc=%d seq=%d", got, want)
 	}
 	if conc.Queue.Len() != 0 || conc.Queue.InFlight() != 0 {

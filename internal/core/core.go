@@ -1,5 +1,5 @@
 // Package core assembles the full neogeography system of the paper's
-// Figure 3: message queue, modules coordinator with workflow rules,
+// Figure 3: message queue, modules coordinator with its workflows,
 // information-extraction, data-integration and question-answering
 // services, knowledge base, geo-ontology (Open Linked Data stand-in),
 // gazetteer and the probabilistic spatial XML database — optionally
@@ -31,7 +31,6 @@ import (
 	"repro/internal/readpath"
 	"repro/internal/shard"
 	"repro/internal/uncertain"
-	"repro/internal/xmldb"
 )
 
 // ErrNoDataDir reports a Checkpoint on a system built without a data
@@ -82,9 +81,6 @@ type Config struct {
 	// fallback), with one pipeline integration lane per shard. 0 or 1
 	// keeps today's single-store behavior.
 	Shards int
-	// IntegrateBatch caps how many messages a pipeline integration lane
-	// folds into one amortized database batch (default 16).
-	IntegrateBatch int
 	// FeedbackBatch is the per-shard verdict count that triggers an
 	// automatic feedback apply (default 16); the serving layer's loop
 	// also flushes whatever is buffered every drain interval.
@@ -118,18 +114,12 @@ type System struct {
 	Ont *ontology.Ontology
 	KB  *kb.KB
 	// Store is the (possibly sharded) probabilistic spatial XML store;
-	// with Shards <= 1 it wraps the single database. All reads that must
-	// see the whole system go through it.
+	// with Shards <= 1 it wraps the single database, Store.Shard(0). All
+	// reads that must see the whole system go through it.
 	Store *shard.Store
-	// DB is the single database in the unsharded configuration, nil when
-	// Shards > 1 (use Store, or Store.Shard(i) for one partition).
-	DB    *xmldb.DB
 	Queue *mq.Queue
 	IE    *extract.Service
-	// DI is the integration service of shard 0 — the whole store's
-	// service in the unsharded configuration. DIs holds one service per
-	// shard.
-	DI  *integrate.Service
+	// DIs holds one integration service per shard.
 	DIs []*integrate.Service
 	QA  *qa.Service
 	MC  *coordinator.Coordinator
@@ -205,9 +195,6 @@ func New(cfg Config) (*System, error) {
 	s.Store, err = shard.New(shards)
 	if err != nil {
 		return nil, fmt.Errorf("core: building sharded store: %w", err)
-	}
-	if s.Store.NumShards() == 1 {
-		s.DB = s.Store.Shard(0)
 	}
 	if cfg.Clock != nil {
 		s.Store.SetClock(cfg.Clock)
@@ -338,15 +325,13 @@ func New(cfg Config) (*System, error) {
 		}
 	})
 	s.DIs = s.Integrator.Services()
-	s.DI = s.DIs[0]
 	if s.QA, err = qa.NewService(s.Store, s.KB, s.Gaz, s.Ont); err != nil {
 		return nil, err
 	}
-	if s.MC, err = coordinator.New(s.Queue, s.IE, s.Integrator, s.QA, nil); err != nil {
+	if s.MC, err = coordinator.New(s.Queue, s.IE, s.Integrator, s.QA); err != nil {
 		return nil, err
 	}
 	s.MC.SetWorkers(cfg.Workers)
-	s.MC.SetBatchSize(cfg.IntegrateBatch)
 	if cfg.Clock != nil {
 		s.MC.SetClock(cfg.Clock)
 	}

@@ -83,7 +83,7 @@ func TestPaperScenarioEndToEnd(t *testing.T) {
 			t.Fatalf("message %d produced no integration", i)
 		}
 	}
-	if got := s.DB.Len("Hotels"); got != 3 {
+	if got := s.Store.Shard(0).Len("Hotels"); got != 3 {
 		t.Fatalf("Hotels records = %d, want 3 distinct hotels", got)
 	}
 	answer, err := s.Ask(context.Background(), "Can anyone recommend a good, but not ridiculously expensive hotel right in the middle of Berlin?", "asker")
@@ -143,7 +143,7 @@ func TestSubmitProcessBatch(t *testing.T) {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
 	// All four messages merged into one hotel record.
-	if got := s.DB.Len("Hotels"); got != 1 {
+	if got := s.Store.Shard(0).Len("Hotels"); got != 1 {
 		t.Errorf("Hotels = %d, want 1 merged record", got)
 	}
 }
@@ -171,7 +171,7 @@ func TestDecayAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	later := t0.Add(400 * 24 * time.Hour)
-	s.DB.SetClock(func() time.Time { return later })
+	s.Store.Shard(0).SetClock(func() time.Time { return later })
 	decayed, deleted, err := s.DecayAll(later, 0.0)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestEssexHousePriceConflict(t *testing.T) {
 	// The stored record carries exactly one resolved price — the
 	// contradiction must be settled, not duplicated.
 	var price string
-	sys.DB.Each("Hotels", func(rec *xmldb.Record) bool {
+	sys.Store.Shard(0).Each("Hotels", func(rec *xmldb.Record) bool {
 		if n, _ := rec.Doc.FirstChild("Price"); n != nil {
 			price = n.TextContent()
 		}

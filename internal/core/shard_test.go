@@ -135,7 +135,6 @@ func TestShardedConcurrentDrain(t *testing.T) {
 		GazetteerNames: 300,
 		Workers:        4,
 		Shards:         4,
-		IntegrateBatch: 8,
 		Clock:          func() time.Time { return t0 },
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // TestTornWriteTruncatedBeforeAppend: a torn tail must be cut away when
@@ -269,5 +270,87 @@ func TestReplayAckedAfterSkipsDeadLetters(t *testing.T) {
 	r, _ := q2.Dequeue()
 	if r.Body != "fine" {
 		t.Fatalf("replayed %q, want the acknowledged message", r.Body)
+	}
+}
+
+// TestWALEntryBytes pins the log's line format: an enqueue carries its
+// message, an ack or a dead letter only its ID.
+func TestWALEntryBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.wal")
+	at := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
+	q, err := Open(path, WithMaxAttempts(1), WithClock(func() time.Time { return at }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueTraced("first", "alice", "t1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueTraced("poison", "mallory", ""); err != nil {
+		t.Fatal(err)
+	}
+	m1, _ := q.Dequeue()
+	if err := q.Ack(m1.ID); err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := q.Dequeue()
+	if err := q.Nack(m2.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := q.Dequeue(); ok { // the redelivery dead-letters it
+		t.Fatal("message delivered past its attempt limit")
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"op":"enq","msg":{"ID":1,"Body":"first","Source":"alice","Received":"2011-04-01T12:00:00Z","Attempts":0,"Trace":"t1"}}` + "\n" +
+		`{"op":"enq","msg":{"ID":2,"Body":"poison","Source":"mallory","Received":"2011-04-01T12:00:00Z","Attempts":0}}` + "\n" +
+		`{"op":"ack","id":1}` + "\n" +
+		`{"op":"dead","id":2}` + "\n"
+	if string(got) != want {
+		t.Fatalf("wal bytes:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestReplayOlderFormatLog: logs written when every line carried a
+// "msg" object (a zero one on acks and dead letters) and enqueues carried
+// a "Tag" replay unchanged.
+func TestReplayOlderFormatLog(t *testing.T) {
+	zero := `"msg":{"ID":0,"Body":"","Source":"","Received":"0001-01-01T00:00:00Z","Attempts":0,"Tag":""}`
+	log := `{"op":"enq","msg":{"ID":1,"Body":"first","Source":"alice","Received":"2011-04-01T12:00:00Z","Attempts":0,"Tag":""}}` + "\n" +
+		`{"op":"enq","msg":{"ID":2,"Body":"second","Source":"bob","Received":"2011-04-01T12:00:00Z","Attempts":0,"Tag":""}}` + "\n" +
+		`{"op":"enq","msg":{"ID":3,"Body":"poison","Source":"mallory","Received":"2011-04-01T12:00:00Z","Attempts":0,"Tag":""}}` + "\n" +
+		`{"op":"ack","id":1,` + zero + "}\n" +
+		`{"op":"dead","id":3,` + zero + "}\n" +
+		// Never written, but a damaged log may hold it: nothing to replay.
+		`{"op":"enq"}` + "\n"
+	path := filepath.Join(t.TempDir(), "queue.wal")
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if got := q.Stats(); got != (Stats{Pending: 1, Acked: 1, DeadLettered: 1}) {
+		t.Fatalf("stats = %+v", got)
+	}
+	if got := q.LSN(); got != 6 {
+		t.Fatalf("LSN = %d, want 6", got)
+	}
+	if dead := q.DeadLetters(); len(dead) != 1 || dead[0].Body != "poison" {
+		t.Fatalf("dead letters = %+v", dead)
+	}
+	m, ok := q.Dequeue()
+	if !ok || m.ID != 2 || m.Body != "second" || m.Source != "bob" {
+		t.Fatalf("dequeued %+v, want message 2", m)
+	}
+	id, err := q.EnqueueTraced("fourth", "dave", "")
+	if err != nil || id != 4 {
+		t.Fatalf("next enqueue = %d, %v; want 4", id, err)
 	}
 }

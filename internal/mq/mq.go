@@ -25,9 +25,6 @@ type Message struct {
 	Source   string    // sender identity (phone number, handle …)
 	Received time.Time // enqueue time
 	Attempts int       // delivery attempts so far
-	// Tag is the message-type annotation the IE service attaches ("A tag
-	// is then attached to the message on the MQ indicating its type").
-	Tag string
 	// Trace is the observability trace ID minted (or accepted via
 	// X-Request-Id) when the message entered the system. It rides in the
 	// envelope — and therefore in the WAL enqueue entry — so a message's
@@ -147,8 +144,13 @@ func Open(path string, opts ...Option) (*Queue, error) {
 	for i, e := range entries {
 		switch e.Op {
 		case opEnqueue:
+			// An enqueue line always carries its message; one without
+			// (a damaged log) has nothing to replay.
 			m := e.Msg
-			q.messages[m.ID] = &m
+			if m == nil {
+				continue
+			}
+			q.messages[m.ID] = m
 			if m.ID >= q.nextID {
 				q.nextID = m.ID + 1
 			}
@@ -224,7 +226,7 @@ func (q *Queue) EnqueueTraced(body, source, trace string) (int64, error) {
 	}
 	q.nextID++
 	if q.wal != nil {
-		if err := q.walAppend(walEntry{Op: opEnqueue, Msg: *m}); err != nil {
+		if err := q.walAppend(walEntry{Op: opEnqueue, Msg: m}); err != nil {
 			return 0, fmt.Errorf("mq: wal: %w", err)
 		}
 	}
@@ -378,18 +380,6 @@ func (q *Queue) Nack(id int64) error {
 	delete(q.inflight, id)
 	q.pending = append([]int64{id}, q.pending...)
 	mNacked.Inc()
-	return nil
-}
-
-// Tag annotates a leased or pending message with its classified type.
-func (q *Queue) Tag(id int64, tag string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	m, ok := q.messages[id]
-	if !ok {
-		return fmt.Errorf("mq: message %d not found", id)
-	}
-	m.Tag = tag
 	return nil
 }
 

@@ -125,21 +125,6 @@ func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-func TestTag(t *testing.T) {
-	q := New()
-	id, _ := q.EnqueueTraced("is this a question?", "eve", "")
-	if err := q.Tag(id, "request"); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := q.Dequeue()
-	if m.Tag != "request" {
-		t.Errorf("tag = %q", m.Tag)
-	}
-	if err := q.Tag(999, "x"); err == nil {
-		t.Error("tag of missing message succeeded")
-	}
-}
-
 func TestWALPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.wal")
 	q, err := Open(path)

@@ -34,10 +34,14 @@ const (
 	opDead walOp = "dead"
 )
 
+// walEntry is one log line. Msg is set on enqueues only; as a pointer its
+// omitempty drops it from ack and dead lines (encoding/json never omits a
+// struct value). Lines that still carry a zero "msg" object replay the
+// same, since acks and dead letters read only ID.
 type walEntry struct {
-	Op  walOp   `json:"op"`
-	ID  int64   `json:"id,omitempty"`
-	Msg Message `json:"msg,omitempty"`
+	Op  walOp    `json:"op"`
+	ID  int64    `json:"id,omitempty"`
+	Msg *Message `json:"msg,omitempty"`
 }
 
 type wal struct {

@@ -7,12 +7,14 @@ import (
 )
 
 // walSeeds are realistic log contents: a clean log, an empty log, a
-// dead-letter log, and several torn-tail shapes (cut mid-JSON, missing
-// the final newline, garbage after a valid prefix).
+// dead-letter log, an ack line in the older format that carried a zero
+// message, and several torn-tail shapes (cut mid-JSON, missing the final
+// newline, garbage after a valid prefix).
 func walSeeds() [][]byte {
 	enq := `{"op":"enq","msg":{"ID":1,"Body":"CROWD near bridge","Source":"+1555","Tag":"geo"}}` + "\n"
 	ack := `{"op":"ack","id":1}` + "\n"
 	dead := `{"op":"dead","id":2,"msg":{"ID":2,"Body":"poison"}}` + "\n"
+	oldAck := `{"op":"ack","id":1,"msg":{"ID":0,"Body":"","Source":"","Received":"0001-01-01T00:00:00Z","Attempts":0,"Tag":""}}` + "\n"
 	return [][]byte{
 		nil,
 		[]byte(enq),
@@ -24,6 +26,7 @@ func walSeeds() [][]byte {
 		[]byte("\n\n" + enq),                // blank lines are tolerated
 		[]byte(`{"op":"enq","msg":{}}`),     // single entry, no newline
 		bytes.Repeat([]byte(enq), 64),       // longer clean log
+		[]byte(enq + oldAck),
 	}
 }
 

@@ -67,12 +67,6 @@ func WithShards(n int) Option {
 	return func(s *settings) { s.core.Shards = n }
 }
 
-// WithIntegrateBatch caps how many messages a pipeline integration lane
-// folds into one amortized database batch (default 16).
-func WithIntegrateBatch(n int) Option {
-	return func(s *settings) { s.core.IntegrateBatch = n }
-}
-
 // WithFeedbackBatch sets the per-shard verdict count that triggers an
 // automatic feedback apply (default 16). Buffered verdicts below the
 // threshold apply on the next FlushFeedback — the serving layer's

@@ -11,9 +11,9 @@
 //     whose name says it syncs, e.g. syncDir) earlier in its body.
 //     Rename-without-fsync is the classic crash-consistency bug and
 //     there is no in-tree reason to do it.
-//   - In the durable packages (persist, feedback, mq), os.WriteFile
-//     is banned outright: it cannot fsync, so nothing written with it
-//     is crash-safe.
+//   - In the durable packages (persist, durable, feedback, mq),
+//     os.WriteFile is banned outright: it cannot fsync, so nothing
+//     written with it is crash-safe.
 package atomicwrite
 
 import (
@@ -27,9 +27,11 @@ import (
 )
 
 // durable lists the packages whose files must survive kill -9: the
-// checkpoint manager, the feedback ledger, and the queue WAL.
+// checkpoint manager, the append log, and the two logs built on it — the
+// feedback ledger and the queue WAL.
 var durable = map[string]bool{
 	"repro/internal/persist":  true,
+	"repro/internal/durable":  true,
 	"repro/internal/feedback": true,
 	"repro/internal/mq":       true,
 }

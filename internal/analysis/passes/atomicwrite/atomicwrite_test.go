@@ -10,6 +10,7 @@ import (
 func Test(t *testing.T) {
 	analysistest.Run(t, "testdata", atomicwrite.Analyzer,
 		"repro/internal/persist",
+		"repro/internal/durable",
 		"scratch",
 	)
 }

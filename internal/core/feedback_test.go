@@ -324,9 +324,6 @@ func TestBootFallsBackPastTornCheckpoint(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
-		t.Fatal(err)
-	}
 
 	restarted, err := New(cfg)
 	if err != nil {

@@ -1,11 +1,11 @@
 package feedback
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // Ledger is the append-only verdict log. Appends are durable before
@@ -18,71 +18,26 @@ type Ledger interface {
 	Close() error
 }
 
-// ledgerMagic heads the ledger file; entries follow as JSON lines.
-const ledgerMagic = "neogeo-feedback v1\n"
+// ledgerHeader heads the ledger file; entries follow as JSON lines.
+const ledgerHeader = "neogeo-feedback v1\n"
 
-// FileLedger is the durable ledger: a header line followed by one JSON
-// entry per line, fsynced per append. A torn trailing line from a crash
-// mid-append is truncated away at open — the verdict was never
+// FileLedger is the durable ledger: a durable.Log with a header line and
+// one JSON entry per line, fsynced per append. A torn trailing line from
+// a crash mid-append is truncated away at open — the verdict was never
 // acknowledged, so dropping it is correct.
 type FileLedger struct {
-	mu sync.Mutex
-	f  *os.File
+	log *durable.Log
 }
 
 // OpenFileLedger opens (creating if needed) the ledger at path and
 // returns it along with every complete entry already in it, in order.
 func OpenFileLedger(path string) (*FileLedger, []Entry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("feedback: reading ledger: %w", err)
-	}
 	var entries []Entry
-	valid := 0
-	if len(data) > 0 {
-		if !bytes.HasPrefix(data, []byte(ledgerMagic)) {
-			return nil, nil, fmt.Errorf("feedback: %s is not a feedback ledger", path)
-		}
-		valid = len(ledgerMagic)
-		rest := data[valid:]
-		for len(rest) > 0 {
-			nl := bytes.IndexByte(rest, '\n')
-			if nl < 0 {
-				break // torn trailing line: crash mid-append, drop it
-			}
-			var e Entry
-			if err := json.Unmarshal(rest[:nl], &e); err != nil {
-				break // corrupt tail: keep the prefix that parses
-			}
-			entries = append(entries, e)
-			valid += nl + 1
-			rest = rest[nl+1:]
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	log, err := durable.Open(path, ledgerHeader, durable.JSON(func(e Entry) { entries = append(entries, e) }))
 	if err != nil {
 		return nil, nil, fmt.Errorf("feedback: opening ledger: %w", err)
 	}
-	if len(data) == 0 {
-		if _, err := f.WriteString(ledgerMagic); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("feedback: writing ledger header: %w", err)
-		}
-	} else if valid < len(data) {
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("feedback: truncating torn ledger tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("feedback: seeking ledger end: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("feedback: syncing ledger: %w", err)
-	}
-	return &FileLedger{f: f}, entries, nil
+	return &FileLedger{log: log}, entries, nil
 }
 
 // Append implements Ledger: one fsynced JSON line per entry.
@@ -91,32 +46,14 @@ func (l *FileLedger) Append(e Entry) error {
 	if err != nil {
 		return fmt.Errorf("feedback: encoding ledger entry %d: %w", e.Seq, err)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("feedback: ledger closed")
-	}
-	if _, err := l.f.Write(append(data, '\n')); err != nil {
+	if err := l.log.Append(data); err != nil {
 		return fmt.Errorf("feedback: appending ledger entry %d: %w", e.Seq, err)
-	}
-	//lint:ignore lockdiscipline the ledger's contract is one durable append at a time; the mutex exists to order the fsyncs
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("feedback: syncing ledger entry %d: %w", e.Seq, err)
 	}
 	return nil
 }
 
 // Close implements Ledger.
-func (l *FileLedger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
-}
+func (l *FileLedger) Close() error { return l.log.Close() }
 
 // MemLedger is the in-memory ledger used when the system has no data
 // directory: verdicts still sequence and apply, they just do not

@@ -3,6 +3,7 @@ package mq
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,6 +61,33 @@ func TestTornWriteTruncatedBeforeAppend(t *testing.T) {
 			t.Fatalf("tear %q: replayed %q, %q", tear, m1.Body, m2.Body)
 		}
 		q3.Close()
+	}
+}
+
+// TestWALReplaysLargeMessage: the log has no line-length cap, so a
+// message larger than any read buffer is still pending after a restart
+// instead of making the queue unbootable.
+func TestWALReplaysLargeMessage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.wal")
+	q, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Repeat("x", 5<<20)
+	if _, err := q.EnqueueTraced(body, "big", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q2, err := Open(path)
+	if err != nil {
+		t.Fatalf("reopen after a 5 MiB enqueue: %v", err)
+	}
+	defer q2.Close()
+	if m, ok := q2.Dequeue(); !ok || m.Body != body || m.Source != "big" {
+		t.Fatalf("after replay: ok %v, %d-byte body from %q", ok, len(m.Body), m.Source)
 	}
 }
 

@@ -7,10 +7,13 @@
 package mq
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // ErrClosed is returned by EnqueueTraced after Close: the queue no longer
@@ -47,7 +50,7 @@ type Queue struct {
 	// visibility is the lease duration before redelivery.
 	visibility time.Duration
 	clock      func() time.Time
-	wal        *wal
+	wal        *durable.Log
 	maxAttempt int
 	closed     bool
 	dead       []*Message // messages that exhausted their attempts
@@ -130,36 +133,33 @@ func New(opts ...Option) *Queue {
 // messages replay into the dead-letter list, never back into pending.
 func Open(path string, opts ...Option) (*Queue, error) {
 	q := New(opts...)
-	w, entries, err := openWAL(path)
-	if err != nil {
-		return nil, err
-	}
-	q.wal = w
-	q.lsn = int64(len(entries))
 	// ackLSN records where each acknowledgement sits in the log, so the
 	// checkpoint cutoff can separate acks the image already covers from
 	// acks whose effects the crash discarded.
 	ackLSN := make(map[int64]int64)
 	var deadIDs []int64
-	for i, e := range entries {
+	w, err := durable.Open(path, "", durable.JSON(func(e walEntry) {
+		q.lsn++
 		switch e.Op {
 		case opEnqueue:
 			// An enqueue line always carries its message; one without
 			// (a damaged log) has nothing to replay.
-			m := e.Msg
-			if m == nil {
-				continue
-			}
-			q.messages[m.ID] = m
-			if m.ID >= q.nextID {
-				q.nextID = m.ID + 1
+			if m := e.Msg; m != nil {
+				q.messages[m.ID] = m
+				if m.ID >= q.nextID {
+					q.nextID = m.ID + 1
+				}
 			}
 		case opAck:
-			ackLSN[e.ID] = int64(i + 1)
+			ackLSN[e.ID] = q.lsn
 		case opDead:
 			deadIDs = append(deadIDs, e.ID)
 		}
+	}))
+	if err != nil {
+		return nil, fmt.Errorf("mq: wal: %w", err)
 	}
+	q.wal = w
 	for _, id := range deadIDs {
 		m, ok := q.messages[id]
 		if !ok {
@@ -198,7 +198,7 @@ func (q *Queue) Close() error {
 	}
 	q.closed = true
 	if q.wal != nil {
-		return q.wal.close()
+		return q.wal.Close()
 	}
 	return nil
 }
@@ -344,12 +344,21 @@ func (q *Queue) AckBatch(ids []int64) (acked []int64, err error) {
 	return valid, nil
 }
 
-// walAppend appends entries as one group commit and advances the log
-// sequence number by however many entries became durable. Callers hold
-// q.mu.
+// walAppend appends entries as one group commit — one write and one
+// fsync, so batched acknowledgements share the cost of durability — and
+// advances the log sequence number by however many entries became
+// durable. Callers hold q.mu.
 func (q *Queue) walAppend(entries ...walEntry) error {
 	start := time.Now()
-	err := q.wal.appendAll(entries)
+	records := make([][]byte, len(entries))
+	for i, e := range entries {
+		b, err := json.Marshal(e)
+		if err != nil {
+			return err
+		}
+		records[i] = b
+	}
+	err := q.wal.Append(records...)
 	mWALFsyncSeconds.Since(start)
 	if err != nil {
 		return err

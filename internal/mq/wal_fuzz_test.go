@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 // walSeeds are realistic log contents: a clean log, an empty log, a
@@ -30,6 +32,14 @@ func walSeeds() [][]byte {
 	}
 }
 
+// scanWAL replays data through the shared log scanner with the decoder
+// Open uses, returning the entries and the offset appends resume at.
+func scanWAL(data []byte) ([]walEntry, int64, error) {
+	var entries []walEntry
+	end, err := durable.Scan(bytes.NewReader(data), "", durable.JSON(func(e walEntry) { entries = append(entries, e) }))
+	return entries, end, err
+}
+
 // FuzzWALScan checks the replay invariants that recovery (and the
 // durability checkpointing built on LSNs) depend on, under arbitrary
 // corruption:
@@ -48,7 +58,7 @@ func FuzzWALScan(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, validEnd, err := scanWAL(bytes.NewReader(data), int64(len(data)))
+		entries, validEnd, err := scanWAL(data)
 		if err != nil {
 			t.Fatalf("scanWAL errored on in-memory input: %v", err)
 		}
@@ -60,7 +70,7 @@ func FuzzWALScan(f *testing.F) {
 		}
 
 		prefix := data[:validEnd]
-		entries2, validEnd2, err := scanWAL(bytes.NewReader(prefix), validEnd)
+		entries2, validEnd2, err := scanWAL(prefix)
 		if err != nil {
 			t.Fatalf("rescanning valid prefix errored: %v", err)
 		}
@@ -83,7 +93,7 @@ func FuzzWALScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		grown := append(append(append([]byte(nil), prefix...), appended...), '\n')
-		entries3, validEnd3, err := scanWAL(bytes.NewReader(grown), int64(len(grown)))
+		entries3, validEnd3, err := scanWAL(grown)
 		if err != nil {
 			t.Fatalf("scanning grown log errored: %v", err)
 		}

@@ -5,15 +5,15 @@
 // write-ahead log it closes the paper's deployment gap — a long-running
 // service accumulating crowd knowledge must survive a restart:
 //
-//   - Checkpoint writes temp → fsync → rename, then updates a MANIFEST
-//     (itself written atomically) naming the latest valid checkpoint,
-//     then prunes all but the newest N checkpoints. A crash mid-write
-//     leaves only a *.tmp file that recovery ignores.
-//   - Recover restores the newest checkpoint that validates: the
-//     manifest's entry is tried first (size and CRC verified before a
-//     byte reaches the store), then a directory scan newest-to-oldest
-//     backstops a missing or corrupt manifest. Corrupt or partial
-//     checkpoints are logged and skipped, never trusted.
+//   - Checkpoint writes temp → fsync → rename, then prunes all but the
+//     newest N checkpoints. A crash mid-write leaves only a *.tmp file
+//     that recovery ignores.
+//   - Every checkpoint file checks itself: a header line naming its
+//     sequence number, WAL position and write time, then the store
+//     image, then a CRC32 of everything before it. Recover tries the
+//     files newest to oldest and restores the first that verifies and
+//     that the store accepts; corrupt or partial checkpoints are logged
+//     and skipped, never trusted.
 //
 // Each checkpoint records the queue WAL's log sequence number captured
 // just before the snapshot was taken, so recovery can replay exactly
@@ -26,7 +26,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -64,13 +64,18 @@ type Snapshotter interface {
 	Restore(r io.Reader) error
 }
 
-// fileMagic heads every checkpoint file; the sequence number and the
-// queue-WAL LSN follow on the same line so recovery can order files and
-// resume the log without a manifest.
-const fileMagic = "neogeo-checkpoint v1"
-
-// manifestName is the pointer file naming the latest valid checkpoint.
-const manifestName = "MANIFEST"
+// A checkpoint file is one header line, the store image, and — since v2
+// — a 4-byte big-endian CRC32 (IEEE) of everything before it. The header
+// carries the sequence number, the queue-WAL LSN and the write time in
+// unix nanoseconds, so a file alone says everything recovery needs. v1
+// files, written before checkpoints checked themselves, have no trailer
+// and no write time; they are still read.
+const (
+	fileMagic = "neogeo-checkpoint"
+	headerV1  = fileMagic + " v1 seq=%d lsn=%d\n"
+	headerV2  = fileMagic + " v2 seq=%d lsn=%d created=%d\n"
+	crcLen    = 4
+)
 
 // filePrefix/fileSuffix frame checkpoint file names:
 // checkpoint-<seq 16 digits>.ckpt.
@@ -90,8 +95,9 @@ type Info struct {
 	LSN int64 `json:"lsn"`
 	// File is the checkpoint's file name within the data directory.
 	File string `json:"file"`
-	// Size and CRC fingerprint the complete file; recovery refuses a
-	// manifest entry whose file no longer matches.
+	// Size is the file's length. CRC is the checksum its trailer carries
+	// over everything before it (for a v1 file, the CRC32 of the whole
+	// file).
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc32"`
 	// Created is the checkpoint's wall-clock write time.
@@ -158,10 +164,8 @@ func NewManager(dir string, opts ...Option) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating data directory: %w", err)
 	}
-	for _, seq := range m.listSeqs() {
-		if seq > m.seq {
-			m.seq = seq
-		}
+	if seqs := m.listSeqs(); len(seqs) > 0 {
+		m.seq = seqs[0]
 	}
 	return m, nil
 }
@@ -183,9 +187,8 @@ const spanCheckpoint = "checkpoint"
 
 // CheckpointContext writes one checkpoint of s, tagged with the queue
 // WAL's lsn, and returns its Info. The write is atomic: the snapshot lands
-// in a temp file that is fsynced and renamed into place before the
-// manifest (also atomically replaced) points at it, so a crash at any
-// instant leaves the previous checkpoint authoritative. Old checkpoints
+// in a temp file that is fsynced and renamed into place, so a crash at
+// any instant leaves the previous checkpoint authoritative. Old checkpoints
 // beyond the retention count are pruned afterwards. The write appears as
 // a span on the request or background timeline ctx carries, annotated
 // with the image size and WAL position.
@@ -220,9 +223,12 @@ func (m *Manager) checkpoint(s Snapshotter, lsn int64) (Info, error) {
 	defer m.mu.Unlock()
 
 	seq := m.seq + 1
-	name := fmt.Sprintf("%s%016d%s", filePrefix, seq, fileSuffix)
+	name := fileName(seq)
 	final := filepath.Join(m.dir, name)
 	tmp := final + tmpSuffix
+	// Round-tripped through the header's unix nanoseconds, so the Info
+	// returned here is exactly the one recovery reads back.
+	created := time.Unix(0, m.clock().UnixNano())
 
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -230,39 +236,32 @@ func (m *Manager) checkpoint(s Snapshotter, lsn int64) (Info, error) {
 	}
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<20)
-	if _, err := fmt.Fprintf(bw, "%s seq=%d lsn=%d\n", fileMagic, seq, lsn); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return Info{}, fmt.Errorf("persist: checkpoint %d: header: %w", seq, err)
+	_, err = fmt.Fprintf(bw, headerV2, seq, lsn, created.UnixNano())
+	if err == nil {
+		err = s.Snapshot(bw)
 	}
-	if err := s.Snapshot(bw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return Info{}, fmt.Errorf("persist: checkpoint %d: snapshot: %w", seq, err)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return Info{}, fmt.Errorf("persist: checkpoint %d: %w", seq, err)
+	if err == nil {
+		_, err = f.Write(crc.Sum(nil))
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return Info{}, fmt.Errorf("persist: checkpoint %d: sync: %w", seq, err)
+	if err == nil {
+		err = f.Sync()
 	}
-	size, err := f.Seek(0, io.SeekCurrent)
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
 	if err != nil {
-		f.Close()
 		os.Remove(tmp)
 		return Info{}, fmt.Errorf("persist: checkpoint %d: %w", seq, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return Info{}, fmt.Errorf("persist: checkpoint %d: close: %w", seq, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return Info{}, fmt.Errorf("persist: checkpoint %d: publish: %w", seq, err)
 	}
 	if err := m.syncDir(); err != nil {
 		return Info{}, fmt.Errorf("persist: checkpoint %d: %w", seq, err)
@@ -274,12 +273,7 @@ func (m *Manager) checkpoint(s Snapshotter, lsn int64) (Info, error) {
 		File:    name,
 		Size:    size,
 		CRC:     crc.Sum32(),
-		Created: m.clock(),
-	}
-	if err := m.writeManifest(info); err != nil {
-		// The checkpoint file itself is durable and the directory scan
-		// will find it; only the fast path is degraded.
-		slog.Warn("persist: manifest update failed (checkpoint still recoverable by scan)", "seq", seq, "err", err)
+		Created: created,
 	}
 	m.seq = seq
 	m.count++
@@ -289,172 +283,102 @@ func (m *Manager) checkpoint(s Snapshotter, lsn int64) (Info, error) {
 }
 
 // Recover restores the newest valid checkpoint into s and returns its
-// Info, or nil when the directory holds no usable checkpoint. The
-// manifest's entry is tried first, fingerprint-verified; on any
-// mismatch recovery falls back to scanning checkpoint files newest to
-// oldest, skipping (and logging) everything that fails validation —
-// the store is only modified by a checkpoint that restores cleanly.
+// Info, or nil when the directory holds no usable checkpoint. Files are
+// tried newest to oldest; one that fails its checksum, its header or the
+// store's own validation is logged and skipped, so the store is only
+// modified by a checkpoint that restores cleanly.
 func (m *Manager) Recover(s Snapshotter) (*Info, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	tried := make(map[string]bool)
-	if info, err := m.readManifest(); err == nil && info != nil {
-		tried[info.File] = true
-		if err := m.restoreFile(s, true, info); err != nil {
-			slog.Warn("persist: manifest checkpoint unusable, falling back to scan", "file", info.File, "err", err)
-		} else {
-			m.adopt(info)
-			return info, nil
-		}
-	} else if err != nil {
-		slog.Warn("persist: unreadable manifest, falling back to scan", "err", err)
-	}
-
-	seqs := m.listSeqs()
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, seq := range seqs {
-		name := fmt.Sprintf("%s%016d%s", filePrefix, seq, fileSuffix)
-		if tried[name] {
+	for _, seq := range m.listSeqs() {
+		name := fileName(seq)
+		info, err := m.restore(s, name)
+		if err != nil {
+			slog.Warn("persist: skipping unusable checkpoint", "file", name, "err", err)
 			continue
 		}
-		info := &Info{File: name}
-		if err := m.restoreFile(s, false, info); err != nil {
-			slog.Warn("persist: skipping corrupt checkpoint", "file", name, "err", err)
-			continue
+		if info.Seq > m.seq {
+			m.seq = info.Seq
 		}
-		m.adopt(info)
+		m.last = info
 		return info, nil
 	}
 	return nil, nil
 }
 
-// adopt records a recovered checkpoint as the manager's newest.
-func (m *Manager) adopt(info *Info) {
-	if info.Seq > m.seq {
-		m.seq = info.Seq
-	}
-	m.last = info
-}
-
-// restoreFile parses, verifies and restores the checkpoint file info
-// names, filling in info's seq, lsn and (when scanning) fingerprint
-// from the file. When verify is true the file must match info's size
-// and CRC before a byte reaches the store; the verified bytes are then
-// restored from memory rather than read a second time.
-func (m *Manager) restoreFile(s Snapshotter, verify bool, info *Info) error {
-	path := filepath.Join(m.dir, info.File)
-	var src io.Reader
-	if verify {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if int64(len(data)) != info.Size {
-			return fmt.Errorf("size %d, manifest says %d", len(data), info.Size)
-		}
-		if got := crc32.ChecksumIEEE(data); got != info.CRC {
-			return fmt.Errorf("crc %08x, manifest says %08x", got, info.CRC)
-		}
-		src = bytes.NewReader(data)
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// Fingerprint the scanned file so the adopted Info is complete;
-		// the file's mtime stands in for the write time the missing
-		// manifest would have recorded.
-		crc := crc32.NewIEEE()
-		n, err := io.Copy(crc, f)
-		if err != nil {
-			return err
-		}
-		info.Size, info.CRC = n, crc.Sum32()
-		if fi, err := f.Stat(); err == nil {
-			info.Created = fi.ModTime()
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		src = f
-	}
-	br := bufio.NewReaderSize(src, 1<<20)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("reading header: %w", err)
-	}
-	var hseq uint64
-	var hlsn int64
-	if _, err := fmt.Sscanf(header, fileMagic+" seq=%d lsn=%d\n", &hseq, &hlsn); err != nil {
-		return fmt.Errorf("bad header %q", strings.TrimSpace(header))
-	}
-	info.Seq, info.LSN = hseq, hlsn
-	// The store validates the whole image before replacing anything, so
-	// a corrupt payload leaves it untouched and the caller can try an
-	// older checkpoint.
-	if err := s.Restore(br); err != nil {
-		return err
-	}
-	return nil
-}
-
-// writeManifest atomically replaces the manifest with one naming info.
-func (m *Manager) writeManifest(info Info) error {
-	data, err := json.Marshal(info)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(m.dir, manifestName)
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return m.syncDir()
-}
-
-// readManifest returns the manifest's entry, nil when no manifest
-// exists yet.
-func (m *Manager) readManifest() (*Info, error) {
-	data, err := os.ReadFile(filepath.Join(m.dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+// restore reads the checkpoint file name, verifies it and restores its
+// image into s.
+func (m *Manager) restore(s Snapshotter, name string) (*Info, error) {
+	path := filepath.Join(m.dir, name)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var info Info
-	if err := json.Unmarshal(data, &info); err != nil {
-		return nil, fmt.Errorf("persist: corrupt manifest: %w", err)
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
 	}
-	if info.File == "" {
-		return nil, fmt.Errorf("persist: manifest names no file")
+	info, image, err := readCheckpoint(data, fi.ModTime())
+	if err != nil {
+		return nil, err
+	}
+	info.File = name
+	// The store validates the whole image before replacing anything, so
+	// a corrupt payload leaves it untouched and the caller can try an
+	// older checkpoint.
+	if err := s.Restore(bytes.NewReader(image)); err != nil {
+		return nil, err
 	}
 	return &info, nil
 }
 
+// readCheckpoint parses a checkpoint file's bytes into its Info (all but
+// File) and the store image it carries. A v2 file must end in the CRC of
+// everything before it. A v1 file has no checksum and no write time: its
+// CRC is computed here, its Created is mtime, and only the store's own
+// validation of the image guards it. Header fields must be canonical —
+// formatted again they reproduce the header byte for byte.
+func readCheckpoint(data []byte, mtime time.Time) (Info, []byte, error) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return Info{}, nil, fmt.Errorf("no header line")
+	}
+	header, body := string(data[:nl+1]), data[nl+1:]
+	info := Info{Size: int64(len(data))}
+	switch {
+	case strings.HasPrefix(header, fileMagic+" v2 "):
+		var created int64
+		if _, err := fmt.Sscanf(header, headerV2, &info.Seq, &info.LSN, &created); err != nil || fmt.Sprintf(headerV2, info.Seq, info.LSN, created) != header {
+			return Info{}, nil, fmt.Errorf("bad header %q", strings.TrimSpace(header))
+		}
+		if len(body) < crcLen {
+			return Info{}, nil, fmt.Errorf("truncated: no checksum")
+		}
+		info.CRC = binary.BigEndian.Uint32(data[len(data)-crcLen:])
+		if got := crc32.ChecksumIEEE(data[:len(data)-crcLen]); got != info.CRC {
+			return Info{}, nil, fmt.Errorf("crc %08x, trailer says %08x", got, info.CRC)
+		}
+		info.Created = time.Unix(0, created)
+		return info, body[:len(body)-crcLen], nil
+	case strings.HasPrefix(header, fileMagic+" v1 "):
+		if _, err := fmt.Sscanf(header, headerV1, &info.Seq, &info.LSN); err != nil || fmt.Sprintf(headerV1, info.Seq, info.LSN) != header {
+			return Info{}, nil, fmt.Errorf("bad header %q", strings.TrimSpace(header))
+		}
+		info.CRC = crc32.ChecksumIEEE(data)
+		info.Created = mtime
+		return info, body, nil
+	}
+	return Info{}, nil, fmt.Errorf("bad header %q", strings.TrimSpace(header))
+}
+
+// fileName names checkpoint seq's file.
+func fileName(seq uint64) string {
+	return fmt.Sprintf("%s%016d%s", filePrefix, seq, fileSuffix)
+}
+
 // listSeqs returns the sequence numbers of every well-named checkpoint
-// file in the directory, unordered.
+// file in the directory, newest first.
 func (m *Manager) listSeqs() []uint64 {
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
@@ -472,19 +396,18 @@ func (m *Manager) listSeqs() []uint64 {
 		}
 		seqs = append(seqs, seq)
 	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	return seqs
 }
 
 // prune removes checkpoint files beyond the retention count (newest
 // kept) and any stale temp files from interrupted writes.
 func (m *Manager) prune() {
-	seqs := m.listSeqs()
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for i, seq := range seqs {
+	for i, seq := range m.listSeqs() {
 		if i < m.retain {
 			continue
 		}
-		name := fmt.Sprintf("%s%016d%s", filePrefix, seq, fileSuffix)
+		name := fileName(seq)
 		if err := os.Remove(filepath.Join(m.dir, name)); err != nil {
 			slog.Warn("persist: pruning failed", "file", name, "err", err)
 		}

@@ -2,7 +2,9 @@ package persist
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,6 +36,12 @@ func (b *blobStore) Restore(r io.Reader) error {
 	}
 	b.state = strings.TrimPrefix(s, "blob:")
 	return nil
+}
+
+// checkpointBytes is a well-formed v2 checkpoint file carrying payload.
+func checkpointBytes(seq uint64, lsn int64, payload string) []byte {
+	data := []byte(fmt.Sprintf(headerV2, seq, lsn, 0) + payload)
+	return binary.BigEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
 }
 
 func newTestManager(t *testing.T, dir string, opts ...Option) *Manager {
@@ -71,8 +79,13 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	if rec == nil {
 		t.Fatal("recovered nothing")
 	}
-	if got.state != "v1" || rec.LSN != 42 || rec.Seq != 1 {
-		t.Fatalf("recovered %q, info %+v", got.state, rec)
+	if got.state != "v1" {
+		t.Fatalf("recovered %q", got.state)
+	}
+	// The file alone carries everything the writer reported.
+	if rec.Seq != info.Seq || rec.LSN != info.LSN || rec.File != info.File ||
+		rec.Size != info.Size || rec.CRC != info.CRC || rec.Created != info.Created {
+		t.Fatalf("recovered info %+v, checkpoint wrote %+v", *rec, info)
 	}
 	// Sequence numbering resumes past the recovered checkpoint.
 	info2, err := m2.CheckpointContext(context.Background(), &blobStore{state: "v2"}, 99)
@@ -114,7 +127,7 @@ func TestRecoverSkipsCorruptNewest(t *testing.T) {
 			}
 		}},
 		{"garbage payload", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte(fileMagic+" seq=2 lsn=7\ngarbage"), 0o644); err != nil {
+			if err := os.WriteFile(path, checkpointBytes(2, 7, "garbage"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -153,18 +166,21 @@ func TestRecoverSkipsCorruptNewest(t *testing.T) {
 	}
 }
 
-// TestRecoverScanWithoutManifest: a deleted manifest must not orphan
-// the checkpoints — the directory scan finds the newest.
+// TestRecoverScanWithoutManifest: recovery needs nothing but the
+// checkpoint files. A MANIFEST left by an older version, naming an older
+// checkpoint, is ignored, and the newest file restores.
 func TestRecoverScanWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, dir)
-	if _, err := m.CheckpointContext(context.Background(), &blobStore{state: "v1"}, 1); err != nil {
+	first, err := m.CheckpointContext(context.Background(), &blobStore{state: "v1"}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.CheckpointContext(context.Background(), &blobStore{state: "v2"}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+	stale := fmt.Sprintf(`{"seq":1,"lsn":1,"file":%q,"size":%d,"crc32":%d}`, first.File, first.Size, first.CRC)
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -179,9 +195,26 @@ func TestRecoverScanWithoutManifest(t *testing.T) {
 	}
 }
 
-// TestRecoverManifestMismatch: a manifest whose fingerprint no longer
-// matches its file (bit rot) must not be trusted; the scan still
-// recovers whatever validates.
+// rot XORs the byte at off (negative: from the end) of the file at path
+// with mask, in place, keeping its size.
+func rot(t *testing.T, path string, off int, mask byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < 0 {
+		off += len(data)
+	}
+	data[off] ^= mask
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverManifestMismatch: a checkpoint whose image rotted into bytes
+// the store would still accept ("blob:v2" → "blob:x2") fails its own
+// checksum and is not trusted; recovery lands on checkpoint 1.
 func TestRecoverManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, dir)
@@ -192,18 +225,7 @@ func TestRecoverManifestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip payload bytes without changing the size: CRC check must
-	// catch it, and the scan fallback must reject it too (payload no
-	// longer parses), landing on checkpoint 1.
-	path := filepath.Join(dir, info.File)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(data[len(data)-4:], "XXXX")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rot(t, filepath.Join(dir, info.File), -crcLen-2, 'v'^'x')
 
 	m2 := newTestManager(t, dir)
 	var got blobStore
@@ -216,9 +238,65 @@ func TestRecoverManifestMismatch(t *testing.T) {
 	}
 }
 
+// TestRecoverRestoresNothingCorrupt: with the older checkpoint's image
+// rotted and the newer one's checksum rotted, there is nothing valid to
+// restore — and nothing corrupt may restore in its place.
+func TestRecoverRestoresNothingCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, dir)
+	older, err := m.CheckpointContext(context.Background(), &blobStore{state: "v1"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer, err := m.CheckpointContext(context.Background(), &blobStore{state: "v2"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot(t, filepath.Join(dir, older.File), -crcLen-2, 'v'^'x')
+	rot(t, filepath.Join(dir, newer.File), -1, 0xff)
+
+	got := blobStore{state: "live"}
+	rec, err := newTestManager(t, dir).Recover(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec != nil || got.state != "live" {
+		t.Fatalf("recovered %+v state %q from corrupt checkpoints", rec, got.state)
+	}
+}
+
+// TestRecoverReadsV1: a checkpoint in the format written before files
+// carried their own checksum restores, its Created taken from the file's
+// modification time.
+func TestRecoverReadsV1(t *testing.T) {
+	dir := t.TempDir()
+	data := fmt.Sprintf(headerV1, 3, 9) + "blob:old"
+	path := filepath.Join(dir, fileName(3))
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mtime := time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
+	if err := os.Chtimes(path, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+	var got blobStore
+	rec, err := newTestManager(t, dir).Recover(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Info{Seq: 3, LSN: 9, File: fileName(3), Size: int64(len(data)), CRC: crc32.ChecksumIEEE([]byte(data))}
+	if rec == nil || got.state != "old" || !rec.Created.Equal(mtime) {
+		t.Fatalf("recovered %+v state %q", rec, got.state)
+	}
+	if rec.Created = (time.Time{}); *rec != want {
+		t.Fatalf("recovered %+v, want %+v", *rec, want)
+	}
+}
+
 // Corrupting the blob payload while keeping a valid header must fail
 // blobStore's own validation — guard that the fake actually validates,
-// since TestRecoverManifestMismatch depends on it.
+// since the garbage-payload case of TestRecoverSkipsCorruptNewest depends
+// on it.
 func TestBlobStoreValidates(t *testing.T) {
 	b := blobStore{state: "live"}
 	if err := b.Restore(strings.NewReader("blobXXXX")); err == nil {

@@ -198,7 +198,7 @@ func TestCheckpointEndpointRealSystem(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) < 2 { // checkpoint file + MANIFEST
+	if len(names) < 2 { // checkpoint file + feedback ledger
 		t.Fatalf("data dir after checkpoint: %v", names)
 	}
 

@@ -76,7 +76,9 @@ var blockingFuncs = map[string]bool{
 var tracerFuncs = map[string]bool{
 	"repro/internal/obs.StartSpan":           true,
 	"repro/internal/obs.ForceSpan":           true,
+	"repro/internal/obs.Stage":               true,
 	"(*repro/internal/obs.Span).End":         true,
+	"(*repro/internal/obs.StageSpan).End":    true,
 	"(*repro/internal/obs.Recorder).Get":     true,
 	"(*repro/internal/obs.Recorder).Recent":  true,
 	"(*repro/internal/obs.Recorder).Slowest": true,

@@ -18,3 +18,13 @@ func (r *Recorder) Active(n int) []any        { return nil }
 func StartSpan(ctx any, name string) (any, *Span) { return ctx, &Span{name: name} }
 
 func ForceSpan(ctx any, name string) (any, *Span) { return ctx, &Span{name: name} }
+
+type Histogram struct{}
+
+type StageSpan struct{ *Span }
+
+func (s *StageSpan) End(err error) {}
+
+func Stage(ctx any, name string, h *Histogram) (any, StageSpan) {
+	return ctx, StageSpan{&Span{name: name}}
+}

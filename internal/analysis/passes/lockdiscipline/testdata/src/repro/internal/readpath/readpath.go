@@ -68,3 +68,24 @@ func (c *Cache) GoodDeferredEnd(key string) string {
 	defer c.mu.Unlock()
 	return c.entries[key]
 }
+
+// GoodStageBracketed times the locked lookup with a stage opened and
+// ended outside the critical section.
+func (c *Cache) GoodStageBracketed(key string, h *obs.Histogram) string {
+	_, st := obs.Stage(nil, spanCacheLookup, h)
+	c.mu.Lock()
+	v := c.entries[key]
+	c.mu.Unlock()
+	st.End(nil)
+	return v
+}
+
+// BadStageUnderLock opens and ends a stage while holding the cache lock.
+func (c *Cache) BadStageUnderLock(key string, h *obs.Histogram) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, st := obs.Stage(nil, spanCacheLookup, h) // want `span recorder call \(Stage\) while holding hot lock c\.mu`
+	v := c.entries[key]
+	st.End(nil) // want `span recorder call \(End\) while holding hot lock c\.mu`
+	return v
+}

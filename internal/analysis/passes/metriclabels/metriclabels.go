@@ -15,8 +15,8 @@
 //
 // Span names are labels too: the flight recorder groups and displays
 // timelines by span name, so the name argument of obs.StartSpan /
-// obs.ForceSpan must be bounded the same way. Request data belongs in
-// span attributes (SetAttr/SetInt), never in the name.
+// obs.ForceSpan / obs.Stage must be bounded the same way. Request data
+// belongs in span attributes (SetAttr/SetInt), never in the name.
 package metriclabels
 
 import (
@@ -45,6 +45,7 @@ var formatters = map[string]bool{
 var spanStarters = map[string]bool{
 	obsPath + ".StartSpan": true,
 	obsPath + ".ForceSpan": true,
+	obsPath + ".Stage":     true,
 }
 
 var Analyzer = &analysis.Analyzer{
@@ -53,7 +54,7 @@ var Analyzer = &analysis.Analyzer{
 		"A label minted from raw request data creates a time series per\n" +
 		"distinct value; the registry and every scrape grow without bound.\n" +
 		"Span names group the flight recorder's timelines the same way, so\n" +
-		"StartSpan/ForceSpan names must be bounded too — variable data\n" +
+		"StartSpan/ForceSpan/Stage names must be bounded too — variable data\n" +
 		"rides in span attributes.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
@@ -89,8 +90,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// isSpanStarter reports whether the call is obs.StartSpan or
-// obs.ForceSpan.
+// isSpanStarter reports whether the call is obs.StartSpan,
+// obs.ForceSpan or obs.Stage.
 func isSpanStarter(info *types.Info, call *ast.CallExpr) bool {
 	fn := analysis.CalleeFunc(info, call)
 	return fn != nil && spanStarters[fn.FullName()]

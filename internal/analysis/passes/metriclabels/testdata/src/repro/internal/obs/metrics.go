@@ -47,3 +47,11 @@ type spanCtx any
 func StartSpan(ctx spanCtx, name string) (spanCtx, *Span) { return ctx, &Span{name: name} }
 
 func ForceSpan(ctx spanCtx, name string) (spanCtx, *Span) { return ctx, &Span{name: name} }
+
+type StageSpan struct{ *Span }
+
+func (s *StageSpan) End(err error) {}
+
+func Stage(ctx spanCtx, name string, h *Histogram) (spanCtx, StageSpan) {
+	return ctx, StageSpan{&Span{name: name}}
+}

@@ -145,3 +145,16 @@ func BadSpanParam(name string) {
 	_, sp := obs.StartSpan(nil, name) // want `span name is not from a bounded set`
 	sp.End()
 }
+
+// GoodStageConst: a stage's name is a span name, bounded the same way.
+func GoodStageConst(r *request) {
+	_, st := obs.Stage(nil, spanAsk, mSeconds.With("/query"))
+	st.SetAttr("path", r.Path)
+	st.End(nil)
+}
+
+// BadStageRawPath mints a stage span per distinct URL.
+func BadStageRawPath(r *request) {
+	_, st := obs.Stage(nil, r.Path, mSeconds.With("/query")) // want `span name is not from a bounded set`
+	st.End(nil)
+}

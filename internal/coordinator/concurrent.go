@@ -4,7 +4,6 @@ import (
 	"context"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/extract"
 	"repro/internal/mq"
@@ -206,18 +205,16 @@ func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan 
 }
 
 func (c *Coordinator) flushBatch(ctx context.Context, lane int, batch []integrationJob, done chan<- completion) {
-	_, sp := obs.StartSpan(ctx, spanIntegrateBatch)
-	sp.SetInt("lane", lane)
-	sp.SetInt("messages", len(batch))
-	defer sp.End()
 	mBatchMessages.With(strconv.Itoa(lane)).Observe(float64(len(batch)))
 	groups := make([][]extract.Template, len(batch))
 	for i, job := range batch {
 		groups[i] = job.tpls
 	}
-	intStart := time.Now()
+	_, st := obs.Stage(ctx, spanIntegrateBatch, stageIntegrate)
+	st.SetInt("lane", lane)
+	st.SetInt("messages", len(batch))
 	results := c.di.IntegrateGroups(lane, groups)
-	stageIntegrate.Since(intStart)
+	st.End(nil)
 
 	ackIDs := make([]int64, 0, len(batch))
 	completed := make([]integrationJob, 0, len(batch))

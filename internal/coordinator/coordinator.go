@@ -34,6 +34,7 @@ const (
 	spanAnswer          = "answer"
 	spanIntegrate       = "integrate"
 	spanIntegrateBatch  = "integrate_batch"
+	spanAskDirect       = "ask_direct"
 )
 
 // integrateBatch caps how many messages an integration lane folds into
@@ -226,20 +227,16 @@ func (c *Coordinator) finish(m mq.Message, out *Outcome) {
 // informative returns a *NotAQuestionError carrying the classification.
 // The trace ID carried by ctx (obs.WithTrace) labels its log lines.
 func (c *Coordinator) AskDirect(ctx context.Context, body, source string) (*qa.Answer, error) {
-	askStart := time.Now()
-	defer func() {
-		// The exemplar links the ask latency bucket to this request's
-		// recorded timeline; with tracing off the trace ID is "".
-		mAskSeconds.ObserveExemplar(time.Since(askStart).Seconds(), obs.SpanFromContext(ctx).TraceID())
-	}()
+	ctx, st := obs.Stage(ctx, spanAskDirect, mAskSeconds)
 	// The same front half the queue engines run, on a message that never
 	// entered the queue.
 	out, _, err := c.front(ctx, mq.Message{Body: body, Source: source})
+	if err == nil && out.Response == nil {
+		err = &NotAQuestionError{Type: out.Type, TypeP: out.TypeP}
+	}
+	st.End(err)
 	if err != nil {
 		return nil, err
-	}
-	if out.Response == nil {
-		return nil, &NotAQuestionError{Type: out.Type, TypeP: out.TypeP}
 	}
 	if trace := obs.Trace(ctx); trace != "" {
 		slog.Debug("ask answered", "trace", trace, "results", len(out.Response.Results))
@@ -253,12 +250,9 @@ func (c *Coordinator) AskDirect(ctx context.Context, body, source string) (*qa.A
 // is answered here, read-only (IE → QA); an informative message returns
 // its templates for the caller's integration stage (IE → DI).
 func (c *Coordinator) front(ctx context.Context, m mq.Message) (*Outcome, []extract.Template, error) {
-	exCtx, exSpan := obs.StartSpan(ctx, spanExtract)
-	exStart := time.Now()
+	exCtx, exStage := obs.Stage(ctx, spanExtract, stageExtract)
 	ex, err := c.ie.Extract(exCtx, m.Body, m.Source, c.clock())
-	stageExtract.Since(exStart)
-	exSpan.SetError(err)
-	exSpan.End()
+	exStage.End(err)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,12 +266,9 @@ func (c *Coordinator) front(ctx context.Context, m mq.Message) (*Outcome, []extr
 	if ex.Type != extract.TypeRequest {
 		return out, ex.Templates, nil
 	}
-	ansCtx, ansSpan := obs.StartSpan(ctx, spanAnswer)
-	ansStart := time.Now()
+	ansCtx, ansStage := obs.Stage(ctx, spanAnswer, stageAnswer)
 	ans, err := c.qa.Answer(ansCtx, ex)
-	stageAnswer.Since(ansStart)
-	ansSpan.SetError(err)
-	ansSpan.End()
+	ansStage.End(err)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -291,13 +282,11 @@ func (c *Coordinator) front(ctx context.Context, m mq.Message) (*Outcome, []extr
 // actions into its outcome.
 func (c *Coordinator) integrateInto(ctx context.Context, out *Outcome, tpls []extract.Template) error {
 	lane := c.di.Route(tpls)
-	_, sp := obs.StartSpan(ctx, spanIntegrate)
-	sp.SetInt("lane", lane)
-	sp.SetInt("templates", len(tpls))
-	defer sp.End()
-	defer stageIntegrate.Since(time.Now())
+	_, st := obs.Stage(ctx, spanIntegrate, stageIntegrate)
+	st.SetInt("lane", lane)
+	st.SetInt("templates", len(tpls))
 	err := foldGroup(out, c.di.IntegrateGroups(lane, [][]extract.Template{tpls})[0])
-	sp.SetError(err)
+	st.End(err)
 	return err
 }
 

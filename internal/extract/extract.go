@@ -139,21 +139,17 @@ func (s *Service) Extract(ctx context.Context, msg, source string, now time.Time
 	if strings.TrimSpace(msg) == "" {
 		return nil, fmt.Errorf("extract: empty message")
 	}
-	_, clsSpan := obs.StartSpan(ctx, spanClassify)
-	clsStart := time.Now()
+	_, cls := obs.Stage(ctx, spanClassify, ieClassify)
 	mtype, p := s.ClassifyType(msg)
-	ieClassify.Since(clsStart)
-	clsSpan.SetAttr("type", string(mtype))
-	clsSpan.End()
+	cls.SetAttr("type", string(mtype))
+	cls.End(nil)
 	out := &Extraction{Message: msg, Type: mtype, TypeP: p}
 	tokens := text.Tokenize(msg)
-	_, nerSpan := obs.StartSpan(ctx, spanNER)
-	nerStart := time.Now()
+	_, nerStage := obs.Stage(ctx, spanNER, ieNER)
 	out.Entities = s.ner.ExtractInformalTokens(tokens)
 	out.Relations = ner.ParseRelations(tokens)
-	ieNER.Since(nerStart)
-	nerSpan.SetInt("entities", len(out.Entities))
-	nerSpan.End()
+	nerStage.SetInt("entities", len(out.Entities))
+	nerStage.End(nil)
 	out.Domain = s.detectDomain(msg, out.Entities)
 	out.Keywords = s.keywords(msg, out.Entities)
 	if mtype == TypeRequest {
@@ -423,9 +419,8 @@ func tokenDistance(a, b ner.Entity) int {
 // resolveLocation disambiguates a location entity using the other location
 // mentions as coherence context.
 func (s *Service) resolveLocation(ctx context.Context, loc *ner.Entity, ex *Extraction) (disambig.Resolution, error) {
-	_, sp := obs.StartSpan(ctx, spanDisambiguate)
-	defer sp.End()
-	defer ieDisambiguate.Since(time.Now())
+	_, st := obs.Stage(ctx, spanDisambiguate, ieDisambiguate)
+	defer st.End(nil)
 	var co [][]*gazetteer.Entry
 	for i := range ex.Entities {
 		e := &ex.Entities[i]

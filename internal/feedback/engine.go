@@ -326,15 +326,14 @@ func (e *Engine) Flush() int {
 // flushLanes applies the buffered verdicts of the selected lanes (nil:
 // all lanes).
 func (e *Engine) flushLanes(only map[int]bool) int {
-	// Flushes run off any request path (timer or explicit call), so the
-	// span roots its own trace; applyMu is not in the tracer's hot-lock
-	// set, so holding it around span recording is within discipline.
-	//lint:ignore ctxflow flushes are background work with no caller deadline; the root only scopes the trace
-	_, sp := obs.StartSpan(context.Background(), spanFeedbackFlush)
-	defer sp.End()
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
-	defer mFBFlushSeconds.Since(time.Now())
+	// Flushes run off any request path (timer or explicit call), so the
+	// stage roots its own trace; applyMu is not in the tracer's hot-lock
+	// set, so holding it around span recording is within discipline.
+	//lint:ignore ctxflow flushes are background work with no caller deadline; the root only scopes the trace
+	_, st := obs.Stage(context.Background(), spanFeedbackFlush, mFBFlushSeconds)
+	defer st.End(nil)
 
 	e.mu.Lock()
 	batches := make([][]pending, len(e.lanes))
@@ -400,7 +399,7 @@ func (e *Engine) flushLanes(only map[int]bool) int {
 	}
 	e.stats.AppliedSeq = e.applied
 	e.mu.Unlock()
-	sp.SetInt("applied", applied)
+	st.SetInt("applied", applied)
 	return applied
 }
 

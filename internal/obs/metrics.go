@@ -116,9 +116,6 @@ func Default() *Registry { return defaultRegistry }
 // benchmark compares against. Exposition still works while disabled.
 func (r *Registry) SetEnabled(on bool) { r.disabled.Store(!on) }
 
-// Enabled reports whether observations are being recorded.
-func (r *Registry) Enabled() bool { return !r.disabled.Load() }
-
 // family returns the named family, creating it if needed. Re-registering
 // an existing name returns the existing family (package-level vars in
 // independent packages may race at init); a kind or label-schema
@@ -281,14 +278,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds v (negative to subtract).
-func (g *Gauge) Add(v float64) {
-	if g.reg.disabled.Load() {
-		return
-	}
-	addFloat(&g.bits, v)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -345,25 +334,20 @@ func (h *Histogram) bucketOf(v float64) int {
 	return i
 }
 
-// ObserveExemplar records one value and, when traceID is non-empty,
-// attaches it as the bucket's exemplar so the exposition links that
-// latency band to a recorded trace. With an empty traceID it is
-// exactly Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+// setExemplar attaches traceID as the exemplar of v's bucket, so the
+// OpenMetrics exposition links that latency band to a recorded trace.
+// Only the recorder calls it, for a trace it kept; the observation
+// itself was counted when the stage ended.
+func (h *Histogram) setExemplar(v float64, traceID string) {
 	if h.reg.disabled.Load() {
 		return
 	}
-	i := h.bucketOf(v)
-	h.counts[i].Add(1)
-	addFloat(&h.sumBits, v)
-	h.count.Add(1)
-	if traceID != "" && i < len(h.exemplars) {
-		h.exemplars[i].Store(&exemplar{value: v, trace: traceID, ts: exemplarNow()})
-	}
+	h.exemplars[h.bucketOf(v)].Store(&exemplar{value: v, trace: traceID, ts: exemplarNow()})
 }
 
 // Since records the seconds elapsed from start — the one-line latency
-// observation: defer hist.Since(time.Now()) brackets a stage.
+// observation for an operation with no span of the same interval; a
+// stage that has one is timed by Stage instead.
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start).Seconds()) }
 
 // Summary is a histogram digest for human-facing stats surfaces.
@@ -576,7 +560,9 @@ func labelString(names, values []string, extraK, extraV string) string {
 		if i < len(values) {
 			v = values[i]
 		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(v))
+		// %q escapes quotes, backslashes and newlines as the
+		// exposition format requires.
+		fmt.Fprintf(&b, "%s=%q", n, v)
 	}
 	if extraK != "" {
 		if len(names) > 0 {
@@ -587,11 +573,6 @@ func labelString(names, values []string, extraK, extraV string) string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// escapeLabel escapes a label value per the exposition format (the %q
-// above already escapes quotes and backslashes; newlines become \n
-// through it too, so only pass-through is needed).
-func escapeLabel(v string) string { return v }
 
 // escapeHelp escapes backslashes and newlines in help text.
 func escapeHelp(h string) string {

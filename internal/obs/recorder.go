@@ -19,15 +19,6 @@ import (
 	"time"
 )
 
-// writeJSONDebug renders the debug payload; exposition-style two-space
-// indentation to match the public API's writeJSON.
-func writeJSONDebug(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // RecorderConfig sizes a flight recorder.
 type RecorderConfig struct {
 	// Capacity is the ring size in traces; <= 0 means 256.
@@ -39,13 +30,6 @@ type RecorderConfig struct {
 	// forced traces are retained.
 	SampleN int
 }
-
-// DefaultRecorderCapacity is the ring size used when a caller enables
-// tracing without choosing one.
-const DefaultRecorderCapacity = 256
-
-// DefaultSlowThreshold is the always-keep latency bar when unset.
-const DefaultSlowThreshold = time.Second
 
 // Recorder is the bounded trace store. All methods are safe for
 // concurrent use; a nil *Recorder is inert.
@@ -70,10 +54,10 @@ type Recorder struct {
 // SetDefaultRecorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultRecorderCapacity
+		cfg.Capacity = 256
 	}
 	if cfg.Slow <= 0 {
-		cfg.Slow = DefaultSlowThreshold
+		cfg.Slow = time.Second
 	}
 	return &Recorder{
 		capacity: cfg.Capacity,
@@ -142,6 +126,17 @@ func (r *Recorder) complete(t *trace) {
 		r.ring = r.ring[1:]
 	}
 	r.mu.Unlock()
+
+	// Only now that the trace is kept and fetchable does each finished
+	// stage become its histogram bucket's exemplar, so an exemplar
+	// never names a trace the recorder dropped.
+	t.mu.Lock()
+	for _, sp := range t.spans {
+		if sp.hist != nil && sp.done {
+			sp.hist.setExemplar(sp.dur.Seconds(), t.id)
+		}
+	}
+	t.mu.Unlock()
 }
 
 // Get returns the kept trace with the given ID.
@@ -372,7 +367,11 @@ func TracesHandler(rec func() *Recorder) http.Handler {
 			Slowest: r.Slowest(debugTraceRows),
 		}
 		if req.URL.Query().Get("format") == "json" {
-			writeJSONDebug(w, p)
+			// Two-space indentation, like the public API's JSON.
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			_ = enc.Encode(p)
 			return
 		}
 		var b strings.Builder

@@ -1,16 +1,17 @@
-// Span tracing: the per-request timeline layer on top of the flat
-// trace IDs. A Span brackets one stage of work (HTTP request, pipeline
-// stage, per-shard query, cache lookup); spans form a tree per trace,
-// carry bounded key-value attributes and an error flag, and on root
-// completion the whole trace is offered to the process-wide flight
-// Recorder, which decides whether to keep it (slow, errored, forced,
-// or 1-in-N sampled).
+// Span tracing: the per-request timeline of a trace ID. A Span
+// brackets one stage of work (HTTP request, pipeline stage, per-shard
+// query, cache lookup); spans form a tree per trace, carry bounded
+// key-value attributes and an error flag, and on root completion the
+// whole trace is offered to the process-wide flight Recorder, which
+// decides whether to keep it (slow, errored, forced, or 1-in-N
+// sampled). A stage that also has a latency histogram opens its span
+// with Stage, so one clock reading times both.
 //
 // The hot-path contract mirrors the metrics registry's disabled mode:
 // with no recorder installed, StartSpan is one context value lookup
 // plus one atomic pointer load, returns the caller's own ctx and a nil
 // *Span, and every Span method is nil-safe — the drain benchmark pins
-// this as free.
+// this as free. Stage adds only its histogram's two clock reads.
 package obs
 
 import (
@@ -21,9 +22,6 @@ import (
 	"time"
 	"unicode/utf8"
 )
-
-// spanKey carries the current *Span through context.
-type spanKey struct{}
 
 // Caps keep a single trace's memory bounded no matter how wide a
 // fan-out gets; spans past the cap are counted, not recorded.
@@ -48,6 +46,7 @@ type Span struct {
 	parent int
 	name   string
 	start  time.Time
+	hist   *Histogram // Stage spans: observed into, exemplar when kept
 
 	// Guarded by t.mu — spans from a shard fan-out finish on their own
 	// goroutines while /debug/traces snapshots the trace.
@@ -67,7 +66,6 @@ type trace struct {
 
 	mu      sync.Mutex
 	spans   []*Span // creation order; spans[0] is the root
-	open    int
 	dropped int
 	errored bool
 	done    bool
@@ -89,20 +87,14 @@ func DefaultRecorder() *Recorder { return defaultRecorder.Load() }
 
 // StartSpan starts a span named name. Inside an already-recording
 // trace it adds a child span; at the top of a request it starts a new
-// trace rooted here — but only when a recorder is installed. When not
-// recording it returns ctx unchanged and a nil span.
+// trace rooted here, under the context's trace ID — but only when a
+// recorder is installed. When not recording it returns ctx unchanged
+// and a nil span.
 //
 // Span names must come from a bounded set (the metriclabels analyzer
 // enforces constants); variable data belongs in SetAttr.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		return startChild(ctx, parent, name)
-	}
-	rec := defaultRecorder.Load()
-	if rec == nil {
-		return ctx, nil
-	}
-	return startRoot(ctx, rec, name, false)
+	return openSpan(ctx, name, nil, false)
 }
 
 // ForceSpan is StartSpan for the explain path: it records even with no
@@ -110,62 +102,44 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // the trace force-kept, so an explained request is always fetchable by
 // ID afterwards when a recorder exists.
 func ForceSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		parent.t.mu.Lock()
-		parent.t.forceKeep = true
-		parent.t.mu.Unlock()
-		return startChild(ctx, parent, name)
+	return openSpan(ctx, name, nil, true)
+}
+
+// openSpan starts a span whose duration also feeds hist (nil: none),
+// as a child of ctx's recording span or as the root of a new trace
+// under ctx's trace ID (minted when absent), so log lines, X-Request-Id
+// and the recorded timeline all correlate.
+func openSpan(ctx context.Context, name string, hist *Histogram, force bool) (context.Context, *Span) {
+	v := ctx.Value(traceKey{})
+	if parent, ok := v.(*Span); ok {
+		t := parent.t
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.forceKeep = t.forceKeep || force
+		if len(t.spans) >= maxSpansPerTrace {
+			t.dropped++
+			return ctx, nil // keep the parent current
+		}
+		sp := &Span{t: t, id: len(t.spans) + 1, parent: parent.id, name: name, start: time.Now(), hist: hist}
+		t.spans = append(t.spans, sp)
+		return context.WithValue(ctx, traceKey{}, sp), sp
 	}
-	return startRoot(ctx, defaultRecorder.Load(), name, true)
-}
-
-// SpanFromContext returns the current span, or nil when the context is
-// not being traced.
-func SpanFromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
-}
-
-// startRoot begins a new trace rooted at a span named name, reusing
-// the context's flat trace ID so log lines, X-Request-Id and the
-// recorded timeline all correlate.
-func startRoot(ctx context.Context, rec *Recorder, name string, force bool) (context.Context, *Span) {
-	id := Trace(ctx)
+	rec := defaultRecorder.Load()
+	if rec == nil && !force {
+		return ctx, nil
+	}
+	id, _ := v.(string)
 	if id == "" {
 		id = NewTraceID()
-		ctx = WithTrace(ctx, id)
 	}
 	now := time.Now()
 	t := &trace{id: id, rec: rec, start: now, forceKeep: force}
-	root := &Span{t: t, id: 1, name: name, start: now}
+	root := &Span{t: t, id: 1, name: name, start: now, hist: hist}
 	t.spans = append(t.spans, root)
-	t.open = 1
 	if rec != nil {
 		rec.register(t)
 	}
-	return context.WithValue(ctx, spanKey{}, root), root
-}
-
-func startChild(ctx context.Context, parent *Span, name string) (context.Context, *Span) {
-	sp := parent.t.newSpan(name, parent.id)
-	if sp == nil {
-		return ctx, nil // trace at its span cap; keep the parent current
-	}
-	return context.WithValue(ctx, spanKey{}, sp), sp
-}
-
-// newSpan allocates the next span in the trace, or nil past the cap.
-func (t *trace) newSpan(name string, parent int) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) >= maxSpansPerTrace {
-		t.dropped++
-		return nil
-	}
-	sp := &Span{t: t, id: len(t.spans) + 1, parent: parent, name: name, start: time.Now()}
-	t.spans = append(t.spans, sp)
-	t.open++
-	return sp
+	return context.WithValue(ctx, traceKey{}, root), root
 }
 
 // SetAttr annotates the span; at most maxAttrsPerSpan stick and long
@@ -217,14 +191,6 @@ func (s *Span) SetError(err error) {
 	s.t.mu.Unlock()
 }
 
-// TraceID returns the span's trace ID ("" on nil) — the exemplar hook.
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.t.id
-}
-
 // SpanID returns the span's ID within its trace (0 on nil; recorded
 // spans start at 1).
 func (s *Span) SpanID() int {
@@ -241,12 +207,16 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	s.end(time.Since(s.start))
+}
+
+// end finishes a non-nil span with duration d.
+func (s *Span) end(d time.Duration) {
 	t := s.t
 	t.mu.Lock()
 	if !s.done {
 		s.done = true
-		s.dur = time.Since(s.start)
-		t.open--
+		s.dur = d
 	}
 	complete := s.id == 1 && !t.done
 	if complete {
@@ -256,6 +226,44 @@ func (s *Span) End() {
 	t.mu.Unlock()
 	if complete && rec != nil {
 		rec.complete(t)
+	}
+}
+
+// StageSpan is one timed pipeline stage: its span (nil when not
+// recording; the span methods are promoted and nil-safe) and the
+// latency histogram it feeds.
+type StageSpan struct {
+	*Span
+	hist  *Histogram
+	start time.Time
+	ended bool
+}
+
+// Stage opens a stage named name whose duration End observes into
+// hist, recorder or not — the one timing source for a stage's span
+// and its histogram. The span nests like StartSpan's; hist must be
+// non-nil. Name it from a bounded set, as for StartSpan.
+func Stage(ctx context.Context, name string, hist *Histogram) (context.Context, StageSpan) {
+	ctx, sp := openSpan(ctx, name, hist, false)
+	if sp == nil {
+		return ctx, StageSpan{hist: hist, start: time.Now()}
+	}
+	return ctx, StageSpan{Span: sp, hist: hist, start: sp.start}
+}
+
+// End reads the clock once, observes the stage's duration into its
+// histogram, and ends the span, flagged with err when non-nil. Only
+// the first call has any effect.
+func (s *StageSpan) End(err error) {
+	if s.ended {
+		return
+	}
+	s.ended = true
+	d := time.Since(s.start)
+	s.hist.Observe(d.Seconds())
+	if s.Span != nil {
+		s.Span.SetError(err)
+		s.Span.end(d)
 	}
 }
 

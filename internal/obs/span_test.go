@@ -38,9 +38,6 @@ func TestStartSpanDisabledIsNoop(t *testing.T) {
 	sp.SetInt("n", 1)
 	sp.SetError(errors.New("x"))
 	sp.End()
-	if id := sp.TraceID(); id != "" {
-		t.Errorf("nil span TraceID = %q, want empty", id)
-	}
 	if id := sp.SpanID(); id != 0 {
 		t.Errorf("nil span SpanID = %d, want 0", id)
 	}
@@ -57,8 +54,8 @@ func TestSpanTreeSnapshot(t *testing.T) {
 
 	ctx := WithTrace(context.Background(), "req-1")
 	ctx, root := StartSpan(ctx, "http_request")
-	if got := root.TraceID(); got != "req-1" {
-		t.Fatalf("root TraceID = %q, want req-1 (the flat ID)", got)
+	if got := Trace(ctx); got != "req-1" {
+		t.Fatalf("root trace ID = %q, want req-1 (the flat ID)", got)
 	}
 	childCtx, child := StartSpan(ctx, "extract")
 	child.SetAttr("type", "request")
@@ -365,10 +362,12 @@ func TestExemplarExpositionGolden(t *testing.T) {
 
 	r := NewRegistry()
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
-	h.With().Observe(0.005)                      // no exemplar on le=0.01
-	h.With().ObserveExemplar(0.05, "trace-slow") // exemplar on le=0.1
-	h.With().ObserveExemplar(5, "trace-inf")     // exemplar on +Inf
-	h.With().ObserveExemplar(0.07, "")           // empty trace ID: counted, no exemplar
+	h.With().Observe(0.005) // no exemplar on le=0.01
+	h.With().Observe(0.05)
+	h.With().setExemplar(0.05, "trace-slow") // exemplar on le=0.1
+	h.With().Observe(5)
+	h.With().setExemplar(5, "trace-inf") // exemplar on +Inf
+	h.With().Observe(0.07)               // counted, no exemplar
 	r.Counter("test_requests_total", "Requests.").With().Inc()
 
 	var om strings.Builder
@@ -420,7 +419,8 @@ test_requests_total 1
 func TestMetricsHandlerNegotiation(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("nego_latency_seconds", "Latency.", []float64{0.1})
-	h.With().ObserveExemplar(0.05, "trace-nego")
+	h.With().Observe(0.05)
+	h.With().setExemplar(0.05, "trace-nego")
 	handler := Handler(r)
 
 	w := httptest.NewRecorder()
@@ -472,5 +472,64 @@ func TestTruncateAttrRuneBoundary(t *testing.T) {
 	}
 	if got := truncateAttr("short"); got != "short" {
 		t.Errorf("truncateAttr(short) = %q, want unchanged", got)
+	}
+}
+
+// TestStageTimesOnce pins Stage's contract: End observes the stage's
+// duration into its histogram exactly once, recorder or not, and with
+// no recorder it allocates nothing.
+func TestStageTimesOnce(t *testing.T) {
+	h := NewRegistry().Histogram("stage_seconds", "Stage.", nil).With()
+	withRecorder(t, nil)
+	ctx := context.Background()
+	errAgain := errors.New("again")
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, st := Stage(ctx, "extract", h)
+		st.End(nil)
+		st.End(errAgain)
+	}); allocs != 0 {
+		t.Errorf("Stage+End with tracing off allocates %v times, want 0", allocs)
+	}
+	if got := h.Summary().Count; got != 101 { // AllocsPerRun adds a warm-up run
+		t.Errorf("histogram count = %d after 101 stages ended twice, want 101", got)
+	}
+
+	// Recording, the span and the histogram share one clock reading.
+	withRecorder(t, NewRecorder(RecorderConfig{Slow: time.Nanosecond}))
+	h = NewRegistry().Histogram("stage_seconds", "Stage.", nil).With()
+	_, st := Stage(WithTrace(ctx, "stage-1"), "extract", h)
+	st.End(errors.New("boom"))
+	st.End(nil)
+	v, ok := DefaultRecorder().Get("stage-1")
+	if !ok || v.Root.Name != "extract" || v.Root.Error != "boom" {
+		t.Fatalf("stage trace = %+v, %v; want a kept extract root flagged boom", v, ok)
+	}
+	if sum := h.Summary(); sum.Count != 1 || sum.Sum != v.Root.DurationSeconds {
+		t.Errorf("histogram = %d obs, sum %v; want 1 obs of the span's %v", sum.Count, sum.Sum, v.Root.DurationSeconds)
+	}
+}
+
+// TestWithTraceDropsForeignSpan pins the single trace identity: a new
+// trace ID on a context recording another trace drops that span, so
+// the next span roots the new ID's own trace instead of recording
+// under the old one.
+func TestWithTraceDropsForeignSpan(t *testing.T) {
+	withRecorder(t, NewRecorder(RecorderConfig{Slow: time.Nanosecond}))
+	ctx, outer := StartSpan(WithTrace(context.Background(), "outer"), "drain")
+	if same := WithTrace(ctx, "outer"); same != ctx {
+		t.Error("WithTrace with the span's own ID derived a new context")
+	}
+	inner := WithTrace(ctx, "inner")
+	if got := Trace(inner); got != "inner" {
+		t.Fatalf("Trace = %q, want inner", got)
+	}
+	_, sp := StartSpan(inner, "pipeline_message")
+	sp.End()
+	outer.End()
+	if v, ok := DefaultRecorder().Get("inner"); !ok || v.Root.Name != "pipeline_message" {
+		t.Errorf("inner trace = %+v, %v; want its own pipeline_message root", v, ok)
+	}
+	if v, _ := DefaultRecorder().Get("outer"); v == nil || v.SpanCount != 1 {
+		t.Errorf("outer trace = %+v, want only its drain root", v)
 	}
 }

@@ -19,7 +19,11 @@ import (
 // path through dispatcher → worker → integration lane reconstructable
 // from logs at traffic scale.
 
-// traceKey is the context key for the trace ID.
+// traceKey is the context key of a message's identity. Its value is
+// either the bare trace ID (a string) or, while a span is recording,
+// the current *Span, whose trace carries the ID — one value, so the
+// ID a log line prints and the trace a span records under never
+// disagree.
 type traceKey struct{}
 
 // NewTraceID returns a fresh 16-hex-digit random trace ID.
@@ -34,9 +38,10 @@ func NewTraceID() string {
 }
 
 // WithTrace returns ctx carrying the given trace ID. Empty IDs are not
-// stored.
+// stored. A recording span of another trace is dropped: the next span
+// roots id's own trace instead of recording under a foreign ID.
 func WithTrace(ctx context.Context, id string) context.Context {
-	if id == "" {
+	if id == "" || Trace(ctx) == id {
 		return ctx
 	}
 	return context.WithValue(ctx, traceKey{}, id)
@@ -47,8 +52,13 @@ func Trace(ctx context.Context) string {
 	if ctx == nil {
 		return ""
 	}
-	id, _ := ctx.Value(traceKey{}).(string)
-	return id
+	switch v := ctx.Value(traceKey{}).(type) {
+	case *Span:
+		return v.t.id
+	case string:
+		return v
+	}
+	return ""
 }
 
 // EnsureTrace returns ctx guaranteed to carry a trace ID, minting one

@@ -193,16 +193,13 @@ const spanCheckpoint = "checkpoint"
 // a span on the request or background timeline ctx carries, annotated
 // with the image size and WAL position.
 func (m *Manager) CheckpointContext(ctx context.Context, s Snapshotter, lsn int64) (Info, error) {
-	_, sp := obs.StartSpan(ctx, spanCheckpoint)
-	start := time.Now()
+	_, st := obs.Stage(ctx, spanCheckpoint, mCheckpointSeconds)
 	info, err := m.checkpoint(s, lsn)
-	mCheckpointSeconds.Since(start)
-	sp.SetAttr("lsn", strconv.FormatInt(lsn, 10))
+	st.SetAttr("lsn", strconv.FormatInt(lsn, 10))
 	if err == nil {
-		sp.SetAttr("bytes", strconv.FormatInt(info.Size, 10))
+		st.SetAttr("bytes", strconv.FormatInt(info.Size, 10))
 	}
-	sp.SetError(err)
-	sp.End()
+	st.End(err)
 	m.mu.Lock()
 	if err != nil {
 		checkpointErr.Inc()

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/extract"
 	"repro/internal/gazetteer"
@@ -108,18 +107,14 @@ func (s *Service) Answer(ctx context.Context, ex *extract.Extraction) (Answer, e
 		}, nil
 	}
 	query := s.formulate(req)
-	runCtx, runSpan := obs.StartSpan(ctx, spanStoreQuery)
-	runStart := time.Now()
+	runCtx, run := obs.Stage(ctx, spanStoreQuery, qaStoreQuery)
 	results, err := s.db.RunContext(runCtx, query)
-	qaStoreQuery.Since(runStart)
-	runSpan.SetInt("candidates", len(results))
-	runSpan.SetError(err)
-	runSpan.End()
+	run.SetInt("candidates", len(results))
+	run.End(err)
 	if err != nil {
 		return Answer{}, fmt.Errorf("qa: executing %q: %w", query, err)
 	}
-	_, rankSpan := obs.StartSpan(ctx, spanRank)
-	rankStart := time.Now()
+	_, rank := obs.Stage(ctx, spanRank, qaRank)
 	kept := results[:0]
 	for _, r := range results {
 		if r.CondP >= s.MinCondP {
@@ -132,9 +127,8 @@ func (s *Service) Answer(ctx context.Context, ex *extract.Extraction) (Answer, e
 		Query:   query,
 		Results: results,
 	}
-	qaRank.Since(rankStart)
-	rankSpan.SetInt("results", len(results))
-	rankSpan.End()
+	rank.SetInt("results", len(results))
+	rank.End(nil)
 	return ans, nil
 }
 

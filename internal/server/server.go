@@ -241,36 +241,35 @@ func (s *Server) Run(ctx context.Context) {
 // it into the pipeline; the route's count and latency are recorded
 // with the route label bounded to the server's own table.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	route := s.routeLabel(r.URL.Path)
 	trace := sanitizeRequestID(r.Header.Get("X-Request-Id"))
 	if trace == "" {
 		trace = obs.NewTraceID()
 	}
 	w.Header().Set("X-Request-Id", trace)
-	ctx, sp := obs.StartSpan(obs.WithTrace(r.Context(), trace), spanHTTPRequest)
-	sp.SetAttr("route", route)
-	sp.SetAttr("method", methodLabel(r.Method))
+	ctx, st := obs.Stage(obs.WithTrace(r.Context(), trace), spanHTTPRequest, mHTTPSeconds.With(route))
+	st.SetAttr("route", route)
+	st.SetAttr("method", methodLabel(r.Method))
 	r = r.WithContext(ctx)
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	// Deferred so a handler panic (net/http recovers it per connection)
-	// still completes the root span — an unclosed root would pin the
-	// trace in the recorder's active set forever. The panic is re-raised
-	// after flagging the trace errored so the recorder always keeps it.
+	// is still timed, counted as a 5xx and completes the root span — an
+	// unclosed root would pin the trace in the recorder's active set
+	// forever. The panic is re-raised after flagging the trace errored
+	// so the recorder always keeps it.
 	defer func() {
-		if rec := recover(); rec != nil {
-			sp.SetError(fmt.Errorf("panic: %v", rec))
-			sp.SetInt("status", sw.code)
-			sp.End()
+		rec := recover()
+		var err error
+		if rec != nil {
+			err = fmt.Errorf("panic: %v", rec)
+			sw.code = http.StatusInternalServerError
+		}
+		st.SetInt("status", sw.code)
+		st.End(err)
+		mHTTPRequests.With(route, methodLabel(r.Method), strconv.Itoa(sw.code/100)+"xx").Inc()
+		if rec != nil {
 			panic(rec)
 		}
-		sp.SetInt("status", sw.code)
-		sp.End()
-		// The exemplar ties this route's latency bucket to the recorded
-		// timeline; with tracing off the trace ID is "" and this is a plain
-		// Observe.
-		mHTTPSeconds.With(route).ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
-		mHTTPRequests.With(route, methodLabel(r.Method), strconv.Itoa(sw.code/100)+"xx").Inc()
 	}()
 	s.route(sw, r)
 }
@@ -496,7 +495,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	}
 	if explain != nil {
 		resp.Trace = &traceJSON{
-			TraceID:   explain.TraceID(),
+			TraceID:   obs.Trace(ctx),
 			Recorded:  obs.DefaultRecorder() != nil,
 			Breakdown: explainBreakdown(explain),
 		}

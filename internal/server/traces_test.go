@@ -217,3 +217,68 @@ func TestPanicEndsRootSpan(t *testing.T) {
 		t.Error("panicked trace not flagged errored")
 	}
 }
+
+// TestPanicIsCountedAndTimed pins the middleware's accounting of a
+// handler panic: the request still lands in its route's latency
+// histogram and counts as a server error, like any request that failed.
+func TestPanicIsCountedAndTimed(t *testing.T) {
+	count := mHTTPRequests.With("/v1/ask", "POST", "5xx")
+	latency := mHTTPSeconds.With("/v1/ask")
+	before, beforeN := count.Value(), latency.Summary().Count
+
+	srv := New(&fakeSystem{askPanic: true}, withTestLog(t))
+	req := httptest.NewRequest(http.MethodPost, "/v1/ask", strings.NewReader(`{"question":"q","source":"s"}`))
+	func() {
+		defer func() { _ = recover() }()
+		srv.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+
+	if got := count.Value() - before; got != 1 {
+		t.Errorf("5xx count after the panicked request moved by %v, want 1", got)
+	}
+	if got := latency.Summary().Count - beforeN; got != 1 {
+		t.Errorf("latency observations after the panicked request moved by %d, want 1", got)
+	}
+}
+
+// TestExemplarsNameOnlyKeptTraces pins that an OpenMetrics exemplar
+// always resolves to a fetchable trace: a request the recorder drops
+// (fast, under the daemon's default keep policy) publishes none, while
+// a force-kept explain request's exemplar names its recorded trace.
+func TestExemplarsNameOnlyKeptTraces(t *testing.T) {
+	rec := obs.NewRecorder(obs.RecorderConfig{Capacity: 8, Slow: time.Second})
+	obs.SetDefaultRecorder(rec)
+	t.Cleanup(func() { obs.SetDefaultRecorder(nil) })
+	srv := New(&fakeSystem{}, withTestLog(t))
+
+	send := func(method, path, id, body string) {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("X-Request-Id", id)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d: %s", method, path, w.Code, w.Body.String())
+		}
+	}
+	send(http.MethodGet, "/healthz", "fast-healthz-1", "")
+	send(http.MethodPost, "/v1/ask", "kept-ask-1", `{"question":"q","source":"s","explain":true}`)
+
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text")
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	body := w.Body.String()
+
+	if _, ok := rec.Get("fast-healthz-1"); ok {
+		t.Fatal("fast /healthz trace was kept; the policy should drop it")
+	}
+	if strings.Contains(body, `trace_id="fast-healthz-1"`) {
+		t.Error("exposition carries an exemplar for a trace the recorder dropped")
+	}
+	if _, ok := rec.Get("kept-ask-1"); !ok {
+		t.Fatal("explain trace not kept")
+	}
+	if !strings.Contains(body, `trace_id="kept-ask-1"`) {
+		t.Error("exposition carries no exemplar for the kept explain trace")
+	}
+}

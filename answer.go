@@ -113,10 +113,6 @@ type Stats struct {
 	Cache CacheStats `json:"cache"`
 	// Subscriptions is the standing-query broadcaster's snapshot.
 	Subscriptions SubscriptionStats `json:"subscriptions"`
-	// Latency summarises the observability layer's latency histograms
-	// for the hot paths; zero-valued summaries when nothing has been
-	// observed yet (full distributions are on GET /metrics).
-	Latency LatencyStats `json:"-"`
 	// Traces is the span flight recorder's snapshot (Enabled false
 	// without WithTraceRecorder).
 	Traces TraceStats `json:"traces"`
@@ -172,30 +168,6 @@ type SubscriptionStats struct {
 	// lost to per-subscription buffer bounds.
 	Delivered int64 `json:"delivered"`
 	Dropped   int64 `json:"dropped"`
-}
-
-// LatencyStats groups the latency summaries surfaced in Stats.
-type LatencyStats struct {
-	// Ask is the synchronous ask path end to end.
-	Ask LatencySummary
-	// Extract is the IE stage per message (classify+NER+disambiguate).
-	Extract LatencySummary
-	// Integrate is the integration stage per amortized batch.
-	Integrate LatencySummary
-	// Transit is the full pipeline transit, enqueue to acknowledged.
-	Transit LatencySummary
-}
-
-// LatencySummary digests one latency histogram. Quantiles are
-// estimated by interpolation over fixed histogram buckets, so they are
-// bounded by the bucket layout's resolution.
-type LatencySummary struct {
-	// Count is how many observations the summary covers.
-	Count uint64
-	// Mean is the arithmetic mean in seconds.
-	Mean float64
-	// P50, P95 and P99 are estimated quantiles in seconds.
-	P50, P95, P99 float64
 }
 
 // CheckpointStats is the durability subsystem's health snapshot: is

@@ -1082,10 +1082,12 @@ func benchFeedbackSystem(b *testing.B, shards, n int) (*core.System, []int64) {
 	}
 	var ids []int64
 	for _, coll := range sys.Store.Collections() {
-		sys.Store.Each(coll, func(rec *xmldb.Record) bool {
-			ids = append(ids, rec.ID)
-			return true
-		})
+		for i := 0; i < sys.Store.NumShards(); i++ {
+			sys.Store.Shard(i).Each(coll, func(rec *xmldb.Record) bool {
+				ids = append(ids, rec.ID)
+				return true
+			})
+		}
 	}
 	if len(ids) == 0 {
 		b.Fatal("no records to give feedback about")

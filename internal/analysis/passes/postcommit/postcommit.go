@@ -1,6 +1,7 @@
 // Package postcommit pins the commit-then-publish ordering of the read
-// path: readpath.Broker publishes and the OnCommit/OnApplied hooks tell
-// subscribers "this state is now visible", so they must fire only after
+// path: readpath.Broker publishes and the database's commit observer
+// (the onCommit hook xmldb.DB.Batch invokes) tell subscribers "this
+// state is now visible", so they must fire only after
 // the mutation is complete — never while a mutex is held (a slow or
 // wedged subscriber pipeline must not extend a critical section), and
 // never before the version bump that makes the commit observable (a
@@ -39,10 +40,8 @@ var constructors = map[string]bool{
 // METHOD of these names (the registration setters) is not an
 // invocation and is not matched.
 var hookNames = map[string]bool{
-	"onCommit":  true,
-	"onApplied": true,
-	"OnCommit":  true,
-	"OnApplied": true,
+	"onCommit": true,
+	"OnCommit": true,
 }
 
 var Analyzer = &analysis.Analyzer{

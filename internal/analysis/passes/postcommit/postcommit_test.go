@@ -9,5 +9,6 @@ import (
 
 func TestGolden(t *testing.T) {
 	analysistest.Run(t, "testdata", postcommit.Analyzer,
-		"repro/internal/readpath", "repro/internal/core", "repro/internal/integrate")
+		"repro/internal/readpath", "repro/internal/core", "repro/internal/integrate",
+		"repro/internal/xmldb")
 }

@@ -8,8 +8,7 @@ import "repro/internal/obs"
 // enqueue→acknowledge journey the slow-outcome log thresholds against;
 // batch sizes per lane show whether the group commit is actually
 // amortizing. Series for the fixed stage labels are created eagerly so
-// the facade's latency summaries (and FindHistogram) see them before
-// the first message flows.
+// /metrics shows them before the first message flows.
 var (
 	mStageSeconds = obs.Default().Histogram("neogeo_pipeline_stage_seconds",
 		"Pipeline stage wall time per message (extract includes classify+NER+disambiguate; integrate is per batch).",

@@ -31,6 +31,7 @@ import (
 	"repro/internal/readpath"
 	"repro/internal/shard"
 	"repro/internal/uncertain"
+	"repro/internal/xmldb"
 )
 
 // ErrNoDataDir reports a Checkpoint on a system built without a data
@@ -202,6 +203,22 @@ func New(cfg Config) (*System, error) {
 	// The hot read path: the broker always exists (idle until something
 	// subscribes); the answer cache only when sized.
 	s.Broker = readpath.NewBroker(s.Store)
+	// Standing queries see every announced commit — integration inserts
+	// and merges, feedback applies — as it lands: the observer runs on
+	// the writing goroutine after the shard's batch released its lock
+	// and bumped its version, publishes the records' post-write state,
+	// and is skipped entirely while the shard has no subscribers.
+	s.Store.OnCommit(func(lane int, commits []xmldb.Commit) {
+		if !s.Broker.ActiveOn(lane) {
+			return
+		}
+		now := s.clock()
+		for _, c := range commits {
+			if rec, ok := s.Store.Shard(lane).Get(c.Collection, c.RecordID); ok {
+				s.Broker.Publish(lane, c.Action, c.Collection, rec, now)
+			}
+		}
+	})
 	if cfg.AnswerCache > 0 {
 		s.Cache = readpath.NewCache(cfg.AnswerCache)
 	}
@@ -270,17 +287,6 @@ func New(cfg Config) (*System, error) {
 		Clock:       s.clock,
 		AppliedSeq:  recoveredFB.seq,
 		AppliedDone: recoveredFB.done,
-		OnApplied: func(lane int, applied []feedback.Applied) {
-			if !s.Broker.ActiveOn(lane) {
-				return
-			}
-			now := s.clock()
-			for _, a := range applied {
-				if rec, ok := s.Store.Shard(lane).Get(a.Collection, a.RecordID); ok {
-					s.Broker.Publish(lane, a.Action, a.Collection, rec, now)
-				}
-			}
-		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: building feedback engine: %w", err)
@@ -309,21 +315,6 @@ func New(cfg Config) (*System, error) {
 	if s.Integrator, err = shard.NewIntegrator(s.KB, s.Store); err != nil {
 		return nil, err
 	}
-	// Standing queries see integration commits as they land: the hook
-	// runs on the lane goroutine after the batch's writes (and the
-	// shard's version bump), publishes the records' post-write state,
-	// and is skipped entirely while the lane has no subscribers.
-	s.Integrator.OnCommit(func(lane int, commits []shard.Commit) {
-		if !s.Broker.ActiveOn(lane) {
-			return
-		}
-		now := s.clock()
-		for _, c := range commits {
-			if rec, ok := s.Store.Shard(lane).Get(c.Collection, c.RecordID); ok {
-				s.Broker.Publish(lane, string(c.Action), c.Collection, rec, now)
-			}
-		}
-	})
 	s.DIs = s.Integrator.Services()
 	if s.QA, err = qa.NewService(s.Store, s.KB, s.Gaz, s.Ont); err != nil {
 		return nil, err

@@ -23,14 +23,16 @@ import (
 func findRecordByHotel(t *testing.T, s *System, name string) int64 {
 	t.Helper()
 	var id int64 = -1
-	s.Store.Each("Hotels", func(rec *xmldb.Record) bool {
-		n, _ := rec.Doc.FirstChild("Hotel_Name")
-		if n != nil && n.TextContent() == name {
-			id = rec.ID
-			return false
-		}
-		return true
-	})
+	for i := 0; i < s.Store.NumShards() && id < 0; i++ {
+		s.Store.Shard(i).Each("Hotels", func(rec *xmldb.Record) bool {
+			n, _ := rec.Doc.FirstChild("Hotel_Name")
+			if n != nil && n.TextContent() == name {
+				id = rec.ID
+				return false
+			}
+			return true
+		})
+	}
 	if id < 0 {
 		t.Fatalf("no record for hotel %q", name)
 	}

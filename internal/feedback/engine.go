@@ -46,11 +46,11 @@ const spanFeedbackFlush = "feedback_flush"
 // per-lane apply (matching the integration lanes' default batch).
 const DefaultBatch = 16
 
-// DefaultVerdictCF is the certainty weight of one human verdict before
+// verdictCF is the certainty weight of one human verdict before
 // attenuation by the submitting user's reliability. Human feedback is
 // strong evidence — stronger than one more anonymous report — but not
 // absolute: a single confirm must not pin a record at certainty 1.
-const DefaultVerdictCF uncertain.CF = 0.6
+const verdictCF uncertain.CF = 0.6
 
 // Stats is the engine's counters snapshot, surfaced through the
 // system's stats endpoint.
@@ -104,15 +104,13 @@ const maxReplayTries = 256
 // WithFrozen (the checkpoint image writer), so the applied watermark is
 // exact with respect to the store image.
 type Engine struct {
-	store     *shard.Store
-	kb        *kb.KB
-	gaz       *gazetteer.Gazetteer
-	priors    *disambig.Priors
-	ledger    Ledger
-	clock     func() time.Time
-	batch     int
-	verdictCF uncertain.CF
-	onApplied func(lane int, applied []Applied)
+	store  *shard.Store
+	kb     *kb.KB
+	gaz    *gazetteer.Gazetteer
+	priors *disambig.Priors
+	ledger Ledger
+	clock  func() time.Time
+	batch  int
 
 	// applyMu serialises batched applies and checkpoint freezes.
 	applyMu sync.Mutex
@@ -142,8 +140,6 @@ type Config struct {
 	Ledger Ledger
 	// Batch is the per-lane auto-apply threshold (default DefaultBatch).
 	Batch int
-	// VerdictCF overrides the per-verdict evidence weight.
-	VerdictCF uncertain.CF
 	// Clock overrides the time source (tests).
 	Clock func() time.Time
 	// AppliedSeq seeds the watermark from a recovered checkpoint: ledger
@@ -154,23 +150,6 @@ type Config struct {
 	// deferring. Park skips them, so a watermark hole never causes a
 	// double apply across crashes.
 	AppliedDone []int64
-	// OnApplied, when set, observes every lane's committed applies: it
-	// runs on the lane's apply goroutine AFTER the shard's batch
-	// committed (and its version counter moved), so a reader woken by it
-	// always sees the new state. It must be brief and must not call back
-	// into the engine. The read path hooks its standing-query
-	// broadcaster here.
-	OnApplied func(lane int, applied []Applied)
-}
-
-// Applied describes one verdict's committed database effect.
-type Applied struct {
-	// Collection and RecordID identify the updated record.
-	Collection string
-	RecordID   int64
-	// Action is the verdict's effect: "confirmed", "rejected" or
-	// "corrected".
-	Action string
 }
 
 // NewEngine builds an engine.
@@ -179,31 +158,23 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("feedback: nil dependency")
 	}
 	e := &Engine{
-		store:     cfg.Store,
-		kb:        cfg.KB,
-		gaz:       cfg.Gaz,
-		priors:    cfg.Priors,
-		ledger:    cfg.Ledger,
-		clock:     cfg.Clock,
-		batch:     cfg.Batch,
-		verdictCF: cfg.VerdictCF,
-		onApplied: cfg.OnApplied,
-		lanes:     make([][]pending, cfg.Store.NumShards()),
-		nextSeq:   cfg.AppliedSeq + 1,
-		applied:   cfg.AppliedSeq,
-		done:      make(map[int64]bool),
+		store:   cfg.Store,
+		kb:      cfg.KB,
+		gaz:     cfg.Gaz,
+		priors:  cfg.Priors,
+		ledger:  cfg.Ledger,
+		clock:   cfg.Clock,
+		batch:   cfg.Batch,
+		lanes:   make([][]pending, cfg.Store.NumShards()),
+		nextSeq: cfg.AppliedSeq + 1,
+		applied: cfg.AppliedSeq,
+		done:    make(map[int64]bool),
 	}
 	if e.clock == nil {
 		e.clock = time.Now
 	}
 	if e.batch <= 0 {
 		e.batch = DefaultBatch
-	}
-	if e.verdictCF == 0 {
-		e.verdictCF = DefaultVerdictCF
-	}
-	if err := e.verdictCF.Validate(); err != nil {
-		return nil, err
 	}
 	for _, seq := range cfg.AppliedDone {
 		if seq > e.applied {
@@ -419,13 +390,12 @@ type outcome struct {
 }
 
 // applyLane folds one lane's verdicts into its shard under a single
-// database lock acquisition. The caller serialises per-lane calls
+// database lock acquisition, labelling each applied verdict for the
+// shard's commit observer. The caller serialises per-lane calls
 // (applyMu); the trust model and priors are internally synchronised, so
 // cross-lane updates to them are safe.
 func (e *Engine) applyLane(lane int, batch []pending) (outcomes []outcome, kept []pending) {
-	var applied []Applied
-	db := e.store.Shard(lane)
-	_ = db.Batch(func(tx *xmldb.Tx) error {
+	_ = e.store.Shard(lane).Batch(func(tx *xmldb.Tx) error {
 		colls := tx.Collections()
 		for _, p := range batch {
 			rec, coll := findRecord(tx, colls, p.e.Verdict.RecordID)
@@ -454,26 +424,14 @@ func (e *Engine) applyLane(lane int, batch []pending) (outcomes []outcome, kept 
 				continue
 			}
 			outcomes = append(outcomes, outcome{seq: p.e.Seq, kind: kind})
-			if e.onApplied != nil {
-				applied = append(applied, Applied{
-					Collection: coll,
-					RecordID:   rec.ID,
-					Action:     kind.action(),
-				})
-			}
+			tx.Label(kind.action(), coll, rec.ID)
 		}
 		return nil
 	})
-	// The hook fires outside the batch: the writes (and the shard's
-	// version bump) are committed, and a slow observer cannot extend the
-	// database lock's hold time.
-	if e.onApplied != nil && len(applied) > 0 {
-		e.onApplied(lane, applied)
-	}
 	return outcomes, kept
 }
 
-// action names an applied outcome for the read path's events.
+// action labels an applied outcome's write for the commit observer.
 func (k outcomeKind) action() string {
 	switch k {
 	case appliedConfirm:
@@ -506,7 +464,7 @@ func (e *Engine) applyOne(tx *xmldb.Tx, coll string, rec *xmldb.Record, v Verdic
 	case KindConfirm:
 		// MYCIN-combine the verdict as positive evidence attenuated by
 		// the confirming user's own reliability.
-		ev := uncertain.Attenuate(e.verdictCF, rel)
+		ev := uncertain.Attenuate(verdictCF, rel)
 		if err := tx.Update(coll, rec.ID, rec.Doc, uncertain.Combine(rec.Certainty, ev), nil); err != nil {
 			return 0, err
 		}
@@ -519,7 +477,7 @@ func (e *Engine) applyOne(tx *xmldb.Tx, coll string, rec *xmldb.Record, v Verdic
 		return appliedConfirm, nil
 
 	case KindReject:
-		ev := uncertain.Attenuate(-e.verdictCF, rel)
+		ev := uncertain.Attenuate(-verdictCF, rel)
 		if err := tx.Update(coll, rec.ID, rec.Doc, uncertain.Combine(rec.Certainty, ev), nil); err != nil {
 			return 0, err
 		}
@@ -549,7 +507,7 @@ func (e *Engine) applyOne(tx *xmldb.Tx, coll string, rec *xmldb.Record, v Verdic
 		// The corrector affirms the entity exists while disputing a
 		// detail: mild positive evidence on the record, contradiction for
 		// the sources whose detail was corrected.
-		ev := uncertain.Attenuate(e.verdictCF, rel*0.5)
+		ev := uncertain.Attenuate(verdictCF, rel*0.5)
 		if err := tx.Update(coll, rec.ID, doc, uncertain.Combine(rec.Certainty, ev), newLoc); err != nil {
 			return 0, err
 		}

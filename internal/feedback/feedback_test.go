@@ -2,8 +2,11 @@ package feedback
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/pxml"
 	"repro/internal/shard"
 	"repro/internal/uncertain"
+	"repro/internal/xmldb"
 )
 
 var t0 = time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
@@ -82,13 +86,27 @@ func hotelDoc(name, city, trace string) *pxml.Node {
 	return doc
 }
 
+// insert stores doc on the shard the router assigns it, as an
+// integration lane would, and returns its record ID.
 func (f *fixture) insert(t *testing.T, doc *pxml.Node, cf uncertain.CF, loc *geo.Point) int64 {
 	t.Helper()
-	rec, err := f.store.Insert("Hotels", doc, cf, loc)
+	var rec *xmldb.Record
+	err := f.store.Shard(f.store.Router().Route(loc, shard.DocKey(doc))).Batch(func(tx *xmldb.Tx) (err error) {
+		rec, err = tx.Insert("Hotels", doc, cf, loc)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rec.ID
+}
+
+// home is the database of a record's home shard.
+func (f *fixture) home(id int64) *xmldb.DB { return f.store.Shard(f.store.ShardFor(id)) }
+
+// remove deletes a record, as decay would.
+func (f *fixture) remove(id int64) error {
+	return f.home(id).Batch(func(tx *xmldb.Tx) error { return tx.Delete("Hotels", id) })
 }
 
 // TestConfirmAppliesAllThreeEffects: one confirm raises the record's
@@ -114,7 +132,7 @@ func TestConfirmAppliesAllThreeEffects(t *testing.T) {
 		t.Fatalf("Flush applied %d, want 1", n)
 	}
 
-	rec, ok := f.store.Get("Hotels", id)
+	rec, ok := f.home(id).Get("Hotels", id)
 	if !ok {
 		t.Fatal("record vanished")
 	}
@@ -151,7 +169,7 @@ func TestRejectLowersCertaintyAndTrust(t *testing.T) {
 	}
 	f.eng.Flush()
 
-	rec, _ := f.store.Get("Hotels", id)
+	rec, _ := f.home(id).Get("Hotels", id)
 	if rec.Certainty >= 0.7 {
 		t.Errorf("certainty after reject = %v, want < 0.7", rec.Certainty)
 	}
@@ -181,7 +199,7 @@ func TestCorrectReplacesFieldAndLocation(t *testing.T) {
 	}
 	f.eng.Flush()
 
-	rec, _ := f.store.Get("Hotels", id)
+	rec, _ := f.home(id).Get("Hotels", id)
 	if rec.Location == nil || rec.Location.Lat != lat || rec.Location.Lon != lon {
 		t.Fatalf("location after correct = %v, want %v,%v", rec.Location, lat, lon)
 	}
@@ -189,7 +207,7 @@ func TestCorrectReplacesFieldAndLocation(t *testing.T) {
 		t.Errorf("priors boost for Paris(TX) after location correction = %v, want > 1", b)
 	}
 	// The home shard never changes: the ID still resolves.
-	if _, ok := f.store.Get("Hotels", id); !ok {
+	if _, ok := f.home(id).Get("Hotels", id); !ok {
 		t.Error("record not reachable by ID after location correction")
 	}
 	if st := f.eng.Stats(); st.Corrected != 1 {
@@ -221,7 +239,7 @@ func TestTypedErrors(t *testing.T) {
 	}
 
 	// A deleted record is a stale answer, not an unknown reference.
-	if err := f.store.Delete("Hotels", id); err != nil {
+	if err := f.remove(id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.eng.Submit(Verdict{RecordID: id, Kind: KindConfirm}); !errors.Is(err, ErrStaleAnswer) {
@@ -261,7 +279,7 @@ func TestStaleBetweenAcceptAndApply(t *testing.T) {
 	if _, err := f.eng.Submit(Verdict{RecordID: id, Kind: KindConfirm}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.store.Delete("Hotels", id); err != nil {
+	if err := f.remove(id); err != nil {
 		t.Fatal(err)
 	}
 	if n := f.eng.Flush(); n != 0 {
@@ -301,7 +319,7 @@ func TestParkDefersUntilRecordExists(t *testing.T) {
 	if n := g.eng.Flush(); n != 1 {
 		t.Fatalf("Flush after re-integration applied %d, want 1", n)
 	}
-	rec, _ := g.store.Get("Hotels", id)
+	rec, _ := g.home(id).Get("Hotels", id)
 	if rec.Certainty <= 0.5 {
 		t.Errorf("replayed confirm did not raise certainty: %v", rec.Certainty)
 	}
@@ -366,7 +384,7 @@ func TestReplayDropsOnKeyMismatch(t *testing.T) {
 	if n := f.eng.Flush(); n != 0 {
 		t.Fatalf("mismatched replay applied %d verdicts", n)
 	}
-	rec, _ := f.store.Get("Hotels", id)
+	rec, _ := f.home(id).Get("Hotels", id)
 	if rec.Certainty != 0.5 {
 		t.Errorf("wrong record mutated: certainty %v", rec.Certainty)
 	}
@@ -446,5 +464,53 @@ func TestFileLedgerRoundTrip(t *testing.T) {
 	}
 	if len(entries) != 4 || entries[3].Verdict.Kind != KindReject {
 		t.Fatalf("after torn-tail truncation + append: %d entries", len(entries))
+	}
+}
+
+// Each applied verdict is announced once to the store's commit
+// observer, on its record's home shard and labelled with its kind; a
+// verdict dropped as stale announces nothing.
+func TestFlushAnnouncesAppliedVerdicts(t *testing.T) {
+	f := newFixture(t, 16)
+	loc := f.parisFR.Location
+	a := f.insert(t, hotelDoc("Axel Hotel", "Paris", "alice"), 0.5, &loc)
+	b := f.insert(t, hotelDoc("Grand Hotel", "Lyon", "bob"), 0.5, nil)
+	gone := f.insert(t, hotelDoc("Sad Inn", "Lyon", "bob"), 0.5, nil)
+	// Lanes apply in parallel, so the observer runs on several
+	// goroutines at once.
+	var mu sync.Mutex
+	var heard []string
+	f.store.OnCommit(func(shard int, commits []xmldb.Commit) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range commits {
+			heard = append(heard, fmt.Sprintf("%d %s %d %s", shard, c.Collection, c.RecordID, c.Action))
+		}
+	})
+	for _, v := range []Verdict{
+		{RecordID: a, Kind: KindConfirm, Source: "carol"},
+		{RecordID: b, Kind: KindReject, Source: "carol"},
+		{RecordID: gone, Kind: KindReject, Source: "carol"},
+		{RecordID: a, Kind: KindCorrect, Field: "City", Value: "Paris", Source: "carol"},
+	} {
+		if _, err := f.eng.Submit(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.eng.Flush(); n != 3 {
+		t.Fatalf("Flush applied %d, want 3", n)
+	}
+	want := []string{
+		fmt.Sprintf("%d Hotels %d confirmed", f.store.ShardFor(a), a),
+		fmt.Sprintf("%d Hotels %d corrected", f.store.ShardFor(a), a),
+		fmt.Sprintf("%d Hotels %d rejected", f.store.ShardFor(b), b),
+	}
+	sort.Strings(heard)
+	sort.Strings(want)
+	if fmt.Sprint(heard) != fmt.Sprint(want) {
+		t.Fatalf("observer heard %q, want %q", heard, want)
 	}
 }

@@ -26,9 +26,11 @@ func batchTemplate(name, attitude, source string, at time.Time) extract.Template
 	}
 }
 
-// IntegrateBatch must match per-call Integrate semantics: same entity
-// merges, distinct entities insert, and a bad template fails alone without
-// poisoning the rest of the batch.
+// A batch of one-template groups must match per-call Integrate
+// semantics: same entity merges, distinct entities insert, and a bad
+// template fails alone without poisoning the rest of the batch. The
+// batch announces each write it made, labelled with its action, in
+// order.
 func TestIntegrateBatchMatchesSequential(t *testing.T) {
 	now := time.Unix(1_300_000_000, 0)
 	tpls := []extract.Template{
@@ -43,21 +45,36 @@ func TestIntegrateBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := svc.IntegrateBatch(tpls)
+	var heard []xmldb.Commit
+	db.OnCommit(func(commits []xmldb.Commit) { heard = append(heard, commits...) })
+	groups := make([][]extract.Template, len(tpls))
+	for i, tpl := range tpls {
+		groups[i] = []extract.Template{tpl}
+	}
+	results := svc.IntegrateGroups(groups)
 	if len(results) != len(tpls) {
 		t.Fatalf("got %d results, want %d", len(results), len(tpls))
 	}
 	wantActions := []Action{ActionInserted, ActionInserted, ActionMerged}
 	for i, want := range wantActions {
-		if results[i].Err != nil {
-			t.Fatalf("template %d: %v", i, results[i].Err)
+		if results[i][0].Err != nil {
+			t.Fatalf("template %d: %v", i, results[i][0].Err)
 		}
-		if results[i].Result.Action != want {
-			t.Fatalf("template %d action = %s, want %s", i, results[i].Result.Action, want)
+		if results[i][0].Result.Action != want {
+			t.Fatalf("template %d action = %s, want %s", i, results[i][0].Result.Action, want)
 		}
 	}
-	if results[3].Err == nil {
+	if results[3][0].Err == nil {
 		t.Fatal("bad template integrated without error")
+	}
+	if len(heard) != len(wantActions) {
+		t.Fatalf("observer heard %v, want %d commits", heard, len(wantActions))
+	}
+	for i, want := range wantActions {
+		c := results[i][0].Result
+		if heard[i] != (xmldb.Commit{Collection: "Hotels", RecordID: c.RecordID, Action: string(want)}) {
+			t.Fatalf("commit %d = %+v, want %s of record %d", i, heard[i], want, c.RecordID)
+		}
 	}
 	if got := db.Len("Hotels"); got != 2 {
 		t.Fatalf("Hotels len = %d, want 2", got)

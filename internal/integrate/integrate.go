@@ -42,44 +42,29 @@ var (
 	actErrored  = mActionsTotal.With("error")
 )
 
-// Service is the DI module. Integrate, IntegrateNaive, IntegrateBatch and
-// Decay are safe for concurrent use: each runs as one atomic database
-// batch, so find-duplicate-then-update sequences cannot interleave.
+// Service is the DI module. Integrate, IntegrateNaive, IntegrateGroups
+// and Decay are safe for concurrent use: each runs as one atomic
+// database batch, so find-duplicate-then-update sequences cannot
+// interleave.
 type Service struct {
 	kb *kb.KB
 	db *xmldb.DB
-	// MatchThreshold is the minimum name similarity treated as the same
-	// entity (default 0.75).
-	MatchThreshold float64
-	// BlockRadiusMeters restricts duplicate candidates to this distance
-	// when both sides have locations (default 50 km).
-	BlockRadiusMeters float64
 }
 
-// Store is the slice of the database API integration needs; *xmldb.DB,
-// the batched *xmldb.Tx and the sharded shard.Store all satisfy it, so
-// the same merge logic runs per-call, amortized under one lock
-// acquisition, or routed across partitions.
-type Store interface {
-	Insert(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*xmldb.Record, error)
-	Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error
-	Get(collection string, id int64) (*xmldb.Record, bool)
-	Each(collection string, fn func(*xmldb.Record) bool)
-	Near(collection string, p geo.Point, radiusMeters float64) []int64
-	Delete(collection string, id int64) error
-}
+// Duplicate detection: matchThreshold is the minimum name similarity
+// treated as the same entity, and blockRadiusMeters restricts duplicate
+// candidates to this distance when both sides have locations.
+const (
+	matchThreshold    = 0.75
+	blockRadiusMeters = 50000
+)
 
 // NewService wires the DI service.
 func NewService(k *kb.KB, db *xmldb.DB) (*Service, error) {
 	if k == nil || db == nil {
 		return nil, fmt.Errorf("integrate: nil dependency")
 	}
-	return &Service{
-		kb:                k,
-		db:                db,
-		MatchThreshold:    0.75,
-		BlockRadiusMeters: 50000,
-	}, nil
+	return &Service{kb: k, db: db}, nil
 }
 
 // Action says what integration did with a template.
@@ -123,22 +108,6 @@ type BatchResult struct {
 	Err    error
 }
 
-// IntegrateBatch merges a run of independent templates under a single
-// database lock acquisition. Each template integrates independently; one
-// failing template does not stop the rest. (The coordinator's pipeline
-// uses IntegrateGroups instead, which preserves per-message ordering.)
-func (s *Service) IntegrateBatch(tpls []extract.Template) []BatchResult {
-	groups := make([][]extract.Template, len(tpls))
-	for i, tpl := range tpls {
-		groups[i] = []extract.Template{tpl}
-	}
-	out := make([]BatchResult, len(tpls))
-	for i, group := range s.IntegrateGroups(groups) {
-		out[i] = group[0]
-	}
-	return out
-}
-
 // IntegrateGroups merges several independent template groups (one group
 // per source message) under a single database lock acquisition. Within a
 // group templates integrate in order and the group stops at its first
@@ -165,8 +134,8 @@ func (s *Service) IntegrateGroups(groups [][]extract.Template) [][]BatchResult {
 	return out
 }
 
-func (s *Service) integrateIn(st Store, tpl extract.Template) (*Result, error) {
-	res, err := s.integrateOne(st, tpl)
+func (s *Service) integrateIn(tx *xmldb.Tx, tpl extract.Template) (*Result, error) {
+	res, err := s.integrateOne(tx, tpl)
 	switch {
 	case err != nil:
 		actErrored.Inc()
@@ -178,7 +147,7 @@ func (s *Service) integrateIn(st Store, tpl extract.Template) (*Result, error) {
 	return res, err
 }
 
-func (s *Service) integrateOne(st Store, tpl extract.Template) (*Result, error) {
+func (s *Service) integrateOne(tx *xmldb.Tx, tpl extract.Template) (*Result, error) {
 	domain, ok := s.kb.Domain(tpl.Domain)
 	if !ok {
 		return nil, fmt.Errorf("integrate: unknown domain %q", tpl.Domain)
@@ -187,11 +156,11 @@ func (s *Service) integrateOne(st Store, tpl extract.Template) (*Result, error) 
 	if !ok || key.Text == "" {
 		return nil, fmt.Errorf("integrate: template missing key field %s", domain.KeyField)
 	}
-	existing := s.findDuplicate(st, domain, tpl)
+	existing := s.findDuplicate(tx, domain, tpl)
 	if existing == nil {
-		return s.insert(st, domain, tpl)
+		return s.insert(tx, domain, tpl)
 	}
-	return s.merge(st, domain, existing, tpl)
+	return s.merge(tx, domain, existing, tpl)
 }
 
 // IntegrateNaive is the last-write-wins baseline for experiment E7: no
@@ -207,24 +176,24 @@ func (s *Service) IntegrateNaive(tpl extract.Template) (*Result, error) {
 	return res, err
 }
 
-func (s *Service) integrateNaiveIn(st Store, tpl extract.Template) (*Result, error) {
+func (s *Service) integrateNaiveIn(tx *xmldb.Tx, tpl extract.Template) (*Result, error) {
 	domain, ok := s.kb.Domain(tpl.Domain)
 	if !ok {
 		return nil, fmt.Errorf("integrate: unknown domain %q", tpl.Domain)
 	}
-	existing := s.findDuplicate(st, domain, tpl)
+	existing := s.findDuplicate(tx, domain, tpl)
 	doc, err := tpl.ToDoc()
 	if err != nil {
 		return nil, err
 	}
 	if existing == nil {
-		rec, err := st.Insert(domain.Collection, doc, tpl.Certainty, tpl.Location)
+		rec, err := tx.Insert(domain.Collection, doc, tpl.Certainty, tpl.Location)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Action: ActionInserted, RecordID: rec.ID}, nil
 	}
-	if err := st.Update(domain.Collection, existing.ID, doc, tpl.Certainty, tpl.Location); err != nil {
+	if err := tx.Update(domain.Collection, existing.ID, doc, tpl.Certainty, tpl.Location); err != nil {
 		return nil, err
 	}
 	return &Result{Action: ActionMerged, RecordID: existing.ID}, nil
@@ -232,10 +201,10 @@ func (s *Service) integrateNaiveIn(st Store, tpl extract.Template) (*Result, err
 
 // findDuplicate scans the domain collection for a record whose key field
 // names the same entity, using location blocking when available.
-func (s *Service) findDuplicate(st Store, domain kb.Domain, tpl extract.Template) *xmldb.Record {
+func (s *Service) findDuplicate(tx *xmldb.Tx, domain kb.Domain, tpl extract.Template) *xmldb.Record {
 	keyText := text.NormalizeName(tpl.Fields[domain.KeyField].Text)
 	var best *xmldb.Record
-	bestSim := s.MatchThreshold
+	bestSim := matchThreshold
 	consider := func(rec *xmldb.Record) {
 		stored, ok := recordKey(rec, domain.KeyField)
 		if !ok {
@@ -245,20 +214,20 @@ func (s *Service) findDuplicate(st Store, domain kb.Domain, tpl extract.Template
 		if sim >= bestSim {
 			// Location veto: same name far away is a different entity.
 			if tpl.Location != nil && rec.Location != nil &&
-				tpl.Location.DistanceMeters(*rec.Location) > s.BlockRadiusMeters {
+				tpl.Location.DistanceMeters(*rec.Location) > blockRadiusMeters {
 				return
 			}
 			best, bestSim = rec, sim
 		}
 	}
 	if tpl.Location != nil {
-		for _, id := range st.Near(domain.Collection, *tpl.Location, s.BlockRadiusMeters) {
-			if rec, ok := st.Get(domain.Collection, id); ok {
+		for _, id := range tx.Near(domain.Collection, *tpl.Location, blockRadiusMeters) {
+			if rec, ok := tx.Get(domain.Collection, id); ok {
 				consider(rec)
 			}
 		}
 		// Also consider location-less records by name.
-		st.Each(domain.Collection, func(rec *xmldb.Record) bool {
+		tx.Each(domain.Collection, func(rec *xmldb.Record) bool {
 			if rec.Location == nil {
 				consider(rec)
 			}
@@ -266,7 +235,7 @@ func (s *Service) findDuplicate(st Store, domain kb.Domain, tpl extract.Template
 		})
 		return best
 	}
-	st.Each(domain.Collection, func(rec *xmldb.Record) bool {
+	tx.Each(domain.Collection, func(rec *xmldb.Record) bool {
 		consider(rec)
 		return true
 	})
@@ -295,7 +264,7 @@ func recordKey(rec *xmldb.Record, field string) (string, bool) {
 	return text.NormalizeName(v), true
 }
 
-func (s *Service) insert(st Store, domain kb.Domain, tpl extract.Template) (*Result, error) {
+func (s *Service) insert(tx *xmldb.Tx, domain kb.Domain, tpl extract.Template) (*Result, error) {
 	doc, err := tpl.ToDoc()
 	if err != nil {
 		return nil, err
@@ -303,15 +272,16 @@ func (s *Service) insert(st Store, domain kb.Domain, tpl extract.Template) (*Res
 	setObservedAt(doc, tpl.Extracted)
 	addSourceTrace(doc, tpl.Source)
 	cf := uncertain.Attenuate(tpl.Certainty, s.kb.Trust().Reliability(tpl.Source))
-	rec, err := st.Insert(domain.Collection, doc, cf, tpl.Location)
+	rec, err := tx.Insert(domain.Collection, doc, cf, tpl.Location)
 	if err != nil {
 		return nil, err
 	}
+	tx.Label(string(ActionInserted), domain.Collection, rec.ID)
 	return &Result{Action: ActionInserted, RecordID: rec.ID}, nil
 }
 
 // merge folds the template into an existing record field by field.
-func (s *Service) merge(st Store, domain kb.Domain, rec *xmldb.Record, tpl extract.Template) (*Result, error) {
+func (s *Service) merge(tx *xmldb.Tx, domain kb.Domain, rec *xmldb.Record, tpl extract.Template) (*Result, error) {
 	res := &Result{Action: ActionMerged, RecordID: rec.ID}
 	trust := s.kb.Trust().Reliability(tpl.Source)
 	doc := rec.Doc.Clone()
@@ -455,9 +425,10 @@ func (s *Service) merge(st Store, domain kb.Domain, rec *xmldb.Record, tpl extra
 	addSourceTrace(doc, tpl.Source)
 
 	// A nil location leaves the stored one untouched (xmldb semantics).
-	if err := st.Update(domain.Collection, rec.ID, doc, newCF, tpl.Location); err != nil {
+	if err := tx.Update(domain.Collection, rec.ID, doc, newCF, tpl.Location); err != nil {
 		return nil, err
 	}
+	tx.Label(string(ActionMerged), domain.Collection, rec.ID)
 	return res, nil
 }
 

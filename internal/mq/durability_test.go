@@ -382,3 +382,35 @@ func TestReplayOlderFormatLog(t *testing.T) {
 		t.Fatalf("next enqueue = %d, %v; want 4", id, err)
 	}
 }
+
+// A failed Ack must leave the message in flight: memory may change only
+// after the WAL append that records the change succeeded, or the queue
+// forgets a message the log still holds unacknowledged.
+func TestFailedAckKeepsMessageInFlight(t *testing.T) {
+	q, err := Open(filepath.Join(t.TempDir(), "q.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueTraced("report", "a", ""); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := q.Dequeue()
+	if !ok {
+		t.Fatal("nothing to dequeue")
+	}
+	if err := q.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Ack(m.ID); err == nil {
+		t.Fatal("Ack succeeded with the WAL closed")
+	}
+	if got := q.InFlight(); got != 1 {
+		t.Fatalf("InFlight after failed Ack = %d, want 1", got)
+	}
+	if err := q.Nack(m.ID); err != nil {
+		t.Fatalf("Nack after failed Ack: %v", err)
+	}
+	if got := q.Len(); got != 1 {
+		t.Fatalf("Len after Nack = %d, want 1", got)
+	}
+}

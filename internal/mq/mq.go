@@ -282,24 +282,11 @@ func (q *Queue) reclaimExpired(now time.Time) {
 	}
 }
 
-// Ack acknowledges a leased message, removing it permanently.
+// Ack acknowledges one leased message, removing it permanently: an
+// AckBatch of one, so a failed WAL append leaves it in flight.
 func (q *Queue) Ack(id int64) error {
-	defer mAckSeconds.Since(time.Now())
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.inflight[id]; !ok {
-		return fmt.Errorf("mq: message %d not in flight", id)
-	}
-	delete(q.inflight, id)
-	delete(q.messages, id)
-	if q.wal != nil {
-		if err := q.walAppend(walEntry{Op: opAck, ID: id}); err != nil {
-			return fmt.Errorf("mq: wal: %w", err)
-		}
-	}
-	q.acked++
-	mAcked.Inc()
-	return nil
+	_, err := q.AckBatch([]int64{id})
+	return err
 }
 
 // AckBatch acknowledges a run of leased messages under one lock

@@ -75,13 +75,13 @@ type Event struct {
 	// subscriptions matched or their own buffer dropped.
 	Seq int64
 	// Action is what the write did: "inserted", "merged", "confirmed",
-	// "rejected", "corrected", or "deleted".
+	// "rejected" or "corrected" — the labels the commit observer
+	// announces (see xmldb.Commit).
 	Action string
 	// Collection and RecordID identify the record.
 	Collection string
 	RecordID   int64
-	// Certainty is the record's certainty after the write (0 for
-	// deletes).
+	// Certainty is the record's certainty after the write.
 	Certainty float64
 	// Location is the record's resolved position after the write, nil
 	// when none.
@@ -268,11 +268,11 @@ func (b *Broker) Attach(id string) (events <-chan Event, release func(), err err
 }
 
 // Publish fans one committed write out to the shard's subscriptions.
-// The write lanes call it after their batch commits, with the record's
-// post-write state (nil rec for deletes is not supported — deletes
-// publish the last known state with action "deleted"). Matching runs
-// under a read lock and is O(subscriptions on this shard); the event
-// payload is projected at most once per publish.
+// The system's commit observer calls it after a shard's batch commits,
+// with the record's post-write state; deletes are never announced, and
+// a nil rec publishes nothing. Matching runs under a read lock and is
+// O(subscriptions on this shard); the event payload is projected at
+// most once per publish.
 func (b *Broker) Publish(shardIdx int, action, collection string, rec *xmldb.Record, at time.Time) {
 	if rec == nil || shardIdx < 0 || shardIdx >= len(b.byShard) {
 		return

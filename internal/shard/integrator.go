@@ -21,19 +21,6 @@ type Integrator struct {
 	store *Store
 	kb    *kb.KB
 	svcs  []*integrate.Service
-	// onCommit, when set, observes every lane commit (see OnCommit).
-	onCommit func(lane int, commits []Commit)
-}
-
-// Commit describes one record an integration batch wrote, for the
-// read path's standing-query broadcaster.
-type Commit struct {
-	// Collection is the record's collection (from the template's domain).
-	Collection string
-	// RecordID is the written record.
-	RecordID int64
-	// Action is what integration did: inserted or merged.
-	Action integrate.Action
 }
 
 // NewIntegrator builds one integration service per shard of the store.
@@ -55,9 +42,8 @@ func NewIntegrator(k *kb.KB, store *Store) (*Integrator, error) {
 // Lanes returns the number of independent integration lanes (= shards).
 func (in *Integrator) Lanes() int { return len(in.svcs) }
 
-// Services exposes the per-shard integration services (for tuning
-// MatchThreshold/BlockRadiusMeters, and for sequential per-shard work
-// like temporal decay).
+// Services exposes the per-shard integration services, for sequential
+// per-shard work like temporal decay.
 func (in *Integrator) Services() []*integrate.Service { return in.svcs }
 
 // Route assigns one message's template group to a lane. The group stays
@@ -83,45 +69,11 @@ func (in *Integrator) Route(tpls []extract.Template) int {
 	return 0
 }
 
-// OnCommit installs a hook observing every lane commit, called after
-// the batch's database writes with the lane index and the records it
-// wrote. The hook runs on the lane goroutine AFTER the shard's version
-// counter moved (the writes are done), so a reader woken by it always
-// sees the new state; it must be brief and must not call back into the
-// integrator. Install before processing starts — the field is not
-// synchronised against concurrent IntegrateGroups calls.
-func (in *Integrator) OnCommit(fn func(lane int, commits []Commit)) {
-	in.onCommit = fn
-}
-
 // IntegrateGroups integrates several messages' template groups on one
-// lane as a single amortized batch against that lane's shard. The caller
-// must serialise calls per lane (the coordinator runs one goroutine per
+// lane as a single amortized batch against that lane's shard; the
+// shard's commit observer hears each write it made. The caller must
+// serialise calls per lane (the coordinator runs one goroutine per
 // lane); calls on different lanes run concurrently.
 func (in *Integrator) IntegrateGroups(lane int, groups [][]extract.Template) [][]integrate.BatchResult {
-	out := in.svcs[lane].IntegrateGroups(groups)
-	if in.onCommit != nil {
-		var commits []Commit
-		for gi, results := range out {
-			group := groups[gi]
-			for ti, res := range results {
-				if res.Err != nil || res.Result == nil || res.Result.RecordID == 0 || ti >= len(group) {
-					continue
-				}
-				d, ok := in.kb.Domain(group[ti].Domain)
-				if !ok {
-					continue
-				}
-				commits = append(commits, Commit{
-					Collection: d.Collection,
-					RecordID:   res.Result.RecordID,
-					Action:     res.Result.Action,
-				})
-			}
-		}
-		if len(commits) > 0 {
-			in.onCommit(lane, commits)
-		}
-	}
-	return out
+	return in.svcs[lane].IntegrateGroups(groups)
 }

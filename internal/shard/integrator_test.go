@@ -10,6 +10,7 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/kb"
 	"repro/internal/uncertain"
+	"repro/internal/xmldb"
 )
 
 func hotelTemplate(name, city string, loc *geo.Point, source string) extract.Template {
@@ -118,10 +119,10 @@ func TestIntegratorLanesAreIndependentStores(t *testing.T) {
 }
 
 // TestDirectInsertAgreesWithLaneRouting pins the placement contract
-// between the two write paths for location-less records: a document
-// inserted through the exported Store.Insert must land on the same
-// shard that Integrator.Route sends the corresponding template to, so
-// lane-local duplicate detection finds pre-loaded records.
+// between DocKey and the lanes for location-less records: a stored
+// document's DocKey must route to the same shard that Integrator.Route
+// sends the corresponding template to, or the restore-time drift audit
+// would count correctly placed records as drifted.
 func TestDirectInsertAgreesWithLaneRouting(t *testing.T) {
 	st, err := New(8)
 	if err != nil {
@@ -138,12 +139,49 @@ func TestDirectInsertAgreesWithLaneRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := st.Insert("Hotels", doc, 0.5, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := insertRouted(t, st, "Hotels", doc, 0.5, nil)
 		if got, want := st.ShardFor(rec.ID), in.Route([]extract.Template{tpl}); got != want {
-			t.Fatalf("%q: direct insert placed on shard %d, lanes route to %d", name, got, want)
+			t.Fatalf("%q: DocKey placed on shard %d, lanes route to %d", name, got, want)
 		}
+	}
+}
+
+// Every lane's writes reach the store's one commit observer, tagged with
+// the shard that committed them and labelled with the integration
+// action.
+func TestIntegratorCommitsReachStoreObserver(t *testing.T) {
+	st, err := New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewIntegrator(kb.New(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type heard struct {
+		shard int
+		c     xmldb.Commit
+	}
+	var got []heard
+	st.OnCommit(func(shard int, commits []xmldb.Commit) {
+		for _, c := range commits {
+			got = append(got, heard{shard, c})
+		}
+	})
+	var want []heard
+	for i, name := range []string{"Axel Hotel", "Grand Hotel", "Axel Hotel"} {
+		tpls := []extract.Template{hotelTemplate(name, "Berlin", nil, fmt.Sprintf("user%d", i))}
+		lane := in.Route(tpls)
+		res := in.IntegrateGroups(lane, [][]extract.Template{tpls})[0][0]
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		want = append(want, heard{lane, xmldb.Commit{Collection: "Hotels", RecordID: res.Result.RecordID, Action: string(res.Result.Action)}})
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("observer heard %v, want %v", got, want)
+	}
+	if want[2].c.Action != "merged" {
+		t.Fatalf("repeat report was %s, want merged", want[2].c.Action)
 	}
 }

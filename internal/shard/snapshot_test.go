@@ -43,9 +43,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Insert("Hotels", snapshotDoc(t, fmt.Sprintf("Hotel %d", i), c.name), 0.8, &p); err != nil {
-			t.Fatal(err)
-		}
+		insertRouted(t, s, "Hotels", snapshotDoc(t, fmt.Sprintf("Hotel %d", i), c.name), 0.8, &p)
 	}
 
 	var img bytes.Buffer
@@ -81,9 +79,7 @@ func TestRestoreTornSectionLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Insert("Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
-		t.Fatal(err)
-	}
+	insertRouted(t, st, "Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil)
 	for _, length := range []string{
 		"\xff\xff\xff\xff\xff\xff\xff\xff", // > MaxInt64: makeslice panicked
 		"\x00\x00\x7f\xff\xff\xff\xff\xff", // 140 TB: fits an int, not memory
@@ -105,9 +101,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Insert("Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
-		t.Fatal(err)
-	}
+	insertRouted(t, src, "Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil)
 	var img bytes.Buffer
 	if err := src.Snapshot(&img); err != nil {
 		t.Fatal(err)
@@ -125,9 +119,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := populated.Insert("Hotels", snapshotDoc(t, "Movenpick Hotel", "Berlin"), 0.9, nil); err != nil {
-		t.Fatal(err)
-	}
+	insertRouted(t, populated, "Hotels", snapshotDoc(t, "Movenpick Hotel", "Berlin"), 0.9, nil)
 	before := populated.Len("Hotels")
 	// Truncate the stream mid-section: validation must fail and leave the
 	// populated store exactly as it was.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/pxml"
-	"repro/internal/uncertain"
 	"repro/internal/xmldb"
 )
 
@@ -34,10 +33,12 @@ const (
 	spanShardNear = "shard_near"
 )
 
-// Store partitions records across N independent xmldb databases. Writes
-// route to one shard (spatially via the GridRouter for located records, by
-// entity-key hash otherwise; updates and deletes by the shard encoded in
-// the record ID); reads scatter across all shards in parallel and merge.
+// Store partitions records across N independent xmldb databases. Every
+// write is a Batch on one shard: integration picks the shard with
+// Integrator.Route (spatially via the GridRouter for located records, by
+// entity-key hash otherwise), feedback by the shard encoded in the
+// record ID (ShardFor). Reads scatter across all shards in parallel and
+// merge.
 //
 // Record IDs are globally unique: shard i issues IDs i+1, i+1+N,
 // i+1+2N, …, so a record's home shard is recoverable from its ID alone
@@ -154,8 +155,8 @@ func (s *Store) fanOut(fn func(i int, db *xmldb.DB)) {
 // first child element that has any — the domain key field for every
 // built-in domain, since templates emit the key field first (see
 // extract.Template.fieldOrder). It must return the bare field text,
-// exactly what Integrator.Route feeds the router, so direct Store
-// writes and routed integration lanes agree on placement. The read
+// exactly what Integrator.Route feeds the router, so the restore-time
+// drift audit and the integration lanes agree on placement. The read
 // path's entity-keyed standing queries match on the same key, so a
 // subscription and the router agree about which records an entity name
 // denotes.
@@ -174,24 +175,13 @@ func DocKey(doc *pxml.Node) string {
 	return doc.Tag
 }
 
-// Insert stores a document on the shard the router assigns it.
-func (s *Store) Insert(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*xmldb.Record, error) {
-	return s.dbs[s.router.Route(loc, DocKey(doc))].Insert(collection, doc, certainty, loc)
-}
-
-// Update replaces a record on its home shard (derived from the ID).
-func (s *Store) Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
-	return s.dbs[s.ShardFor(id)].Update(collection, id, doc, certainty, newLoc)
-}
-
-// Get is a point read against the record's home shard.
-func (s *Store) Get(collection string, id int64) (*xmldb.Record, bool) {
-	return s.dbs[s.ShardFor(id)].Get(collection, id)
-}
-
-// Delete removes a record from its home shard.
-func (s *Store) Delete(collection string, id int64) error {
-	return s.dbs[s.ShardFor(id)].Delete(collection, id)
+// OnCommit installs fn as every shard's commit observer
+// (xmldb.DB.OnCommit), told which shard committed. Install it before
+// the first write.
+func (s *Store) OnCommit(fn func(shard int, commits []xmldb.Commit)) {
+	for i, db := range s.dbs {
+		db.OnCommit(func(commits []xmldb.Commit) { fn(i, commits) })
+	}
 }
 
 // Len returns the number of records in a collection across all shards.
@@ -203,26 +193,6 @@ func (s *Store) Len(collection string) int {
 		n += c
 	}
 	return n
-}
-
-// Each visits a collection's records shard by shard (shard 0 first, each
-// in its own insertion order) until fn returns false. Unlike the
-// unsharded database, global insertion order across shards is not
-// preserved.
-func (s *Store) Each(collection string, fn func(*xmldb.Record) bool) {
-	for _, db := range s.dbs {
-		stopped := false
-		db.Each(collection, func(rec *xmldb.Record) bool {
-			if !fn(rec) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-	}
 }
 
 // NearContext scatters the radius query across every shard's spatial

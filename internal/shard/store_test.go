@@ -19,12 +19,32 @@ func hotelDoc(name string) *pxml.Node {
 
 func mustInsert(t *testing.T, st *Store, name string, loc *geo.Point, cf uncertain.CF) *xmldb.Record {
 	t.Helper()
-	rec, err := st.Insert("Hotels", hotelDoc(name), cf, loc)
+	return insertRouted(t, st, "Hotels", hotelDoc(name), cf, loc)
+}
+
+// insertRouted writes one record on the shard the router assigns its
+// location or key, where an integration lane would place it.
+func insertRouted(t *testing.T, st *Store, coll string, doc *pxml.Node, cf uncertain.CF, loc *geo.Point) *xmldb.Record {
+	t.Helper()
+	return insertOn(t, st.Shard(st.Router().Route(loc, DocKey(doc))), coll, doc, cf, loc)
+}
+
+// insertOn writes one record to db in a batch of its own.
+func insertOn(t *testing.T, db *xmldb.DB, coll string, doc *pxml.Node, cf uncertain.CF, loc *geo.Point) *xmldb.Record {
+	t.Helper()
+	var rec *xmldb.Record
+	err := db.Batch(func(tx *xmldb.Tx) (err error) {
+		rec, err = tx.Insert(coll, doc, cf, loc)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rec
 }
+
+// homeOf is the database of a record's home shard.
+func homeOf(st *Store, id int64) *xmldb.DB { return st.Shard(st.ShardFor(id)) }
 
 func TestRouterDeterministicAndBounded(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
@@ -98,12 +118,8 @@ func TestStoreIDsGloballyUniqueAndRoutable(t *testing.T) {
 		}
 		seen[rec.ID] = true
 		// The home shard must be recoverable from the ID alone.
-		got, ok := st.Get("Hotels", rec.ID)
-		if !ok || got.ID != rec.ID {
-			t.Fatalf("Get(%d) = %v, %v", rec.ID, got, ok)
-		}
 		home := st.ShardFor(rec.ID)
-		if _, ok := st.Shard(home).Get("Hotels", rec.ID); !ok {
+		if got, ok := st.Shard(home).Get("Hotels", rec.ID); !ok || got.ID != rec.ID {
 			t.Fatalf("record %d not on its home shard %d", rec.ID, home)
 		}
 	}
@@ -119,17 +135,20 @@ func TestStoreUpdateDeleteRouteByID(t *testing.T) {
 	}
 	p := geo.Point{Lat: 52.52, Lon: 13.405}
 	rec := mustInsert(t, st, "Axel Hotel", &p, 0.5)
-	if err := st.Update("Hotels", rec.ID, hotelDoc("Axel Hotel Berlin"), 0.7, nil); err != nil {
+	home := homeOf(st, rec.ID)
+	if err := home.Batch(func(tx *xmldb.Tx) error {
+		return tx.Update("Hotels", rec.ID, hotelDoc("Axel Hotel Berlin"), 0.7, nil)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := st.Get("Hotels", rec.ID)
+	got, ok := home.Get("Hotels", rec.ID)
 	if !ok || got.Certainty != 0.7 {
 		t.Fatalf("after update: %+v, %v", got, ok)
 	}
-	if err := st.Delete("Hotels", rec.ID); err != nil {
+	if err := home.Batch(func(tx *xmldb.Tx) error { return tx.Delete("Hotels", rec.ID) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Get("Hotels", rec.ID); ok {
+	if _, ok := home.Get("Hotels", rec.ID); ok {
 		t.Fatal("record survived delete")
 	}
 	if got := st.Len("Hotels"); got != 0 {
@@ -150,18 +169,28 @@ func TestStoreEachVisitsAllAndStops(t *testing.T) {
 		mustInsert(t, st, name, p, 0.5)
 		want[name] = true
 	}
+	// The shards together hold every record exactly once.
 	got := make(map[string]bool)
-	st.Each("Hotels", func(rec *xmldb.Record) bool {
-		n, _ := rec.Doc.FirstChild("Hotel_Name")
-		got[n.TextContent()] = true
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Each visited %d of %d records", len(got), len(want))
+	fullest := 0
+	for i := 0; i < st.NumShards(); i++ {
+		st.Shard(i).Each("Hotels", func(rec *xmldb.Record) bool {
+			n, _ := rec.Doc.FirstChild("Hotel_Name")
+			if got[n.TextContent()] {
+				t.Fatalf("%q stored twice", n.TextContent())
+			}
+			got[n.TextContent()] = true
+			return true
+		})
+		if st.Shard(i).Len("Hotels") > st.Shard(fullest).Len("Hotels") {
+			fullest = i
+		}
 	}
-	// Early stop is honoured across shard boundaries.
+	if len(got) != len(want) {
+		t.Fatalf("shards hold %d of %d records", len(got), len(want))
+	}
+	// Early stop is honoured.
 	visits := 0
-	st.Each("Hotels", func(*xmldb.Record) bool {
+	st.Shard(fullest).Each("Hotels", func(*xmldb.Record) bool {
 		visits++
 		return visits < 3
 	})
@@ -204,12 +233,8 @@ func TestNearMatchesSingleStore(t *testing.T) {
 			Lon: -5 + rng.Float64()*30, // -5..25
 		}
 		name := fmt.Sprintf("Hotel %d", i)
-		if _, err := st.Insert("Hotels", hotelDoc(name), 0.5, &p); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := single.Insert("Hotels", hotelDoc(name), 0.5, &p); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, st, name, &p, 0.5)
+		insertOn(t, single, "Hotels", hotelDoc(name), 0.5, &p)
 	}
 	for trial := 0; trial < 50; trial++ {
 		center := geo.Point{Lat: 42 + rng.Float64()*18, Lon: -5 + rng.Float64()*30}
@@ -221,7 +246,7 @@ func TestNearMatchesSingleStore(t *testing.T) {
 
 		got := make([]string, len(gotIDs))
 		for i, id := range gotIDs {
-			got[i] = nameOf(t, st, id)
+			got[i] = nameOf(t, homeOf(st, id), id)
 		}
 		want := make([]string, len(wantIDs))
 		for i, id := range wantIDs {
@@ -243,7 +268,7 @@ func TestNearMatchesSingleStore(t *testing.T) {
 		// store's spatial index.
 		lastD := -1.0
 		for _, id := range gotIDs {
-			rec, _ := st.Get("Hotels", id)
+			rec, _ := homeOf(st, id).Get("Hotels", id)
 			d := rec.Location.DistanceMeters(center)
 			if d < lastD {
 				t.Fatalf("trial %d: merged Near not sorted by distance (%f after %f)", trial, d, lastD)
@@ -297,12 +322,8 @@ func TestStoreCollectionsUnion(t *testing.T) {
 	}
 	// Force records onto both shards directly to get disjoint collection
 	// sets per shard.
-	if _, err := st.Shard(0).Insert("Hotels", hotelDoc("A"), 0.5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Shard(1).Insert("Roads", pxml.Elem("RoadReport", pxml.ElemText("Place", "A2")), 0.5, nil); err != nil {
-		t.Fatal(err)
-	}
+	insertOn(t, st.Shard(0), "Hotels", hotelDoc("A"), 0.5, nil)
+	insertOn(t, st.Shard(1), "Roads", pxml.Elem("RoadReport", pxml.ElemText("Place", "A2")), 0.5, nil)
 	got := st.Collections()
 	if len(got) != 2 || got[0] != "Hotels" || got[1] != "Roads" {
 		t.Fatalf("Collections = %v", got)

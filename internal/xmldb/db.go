@@ -23,7 +23,7 @@ import (
 // replaces the stored *Record rather than mutating it, so a pointer
 // obtained under the lock stays safe to read after the lock is released.
 // Callers must not mutate a returned record or its document; to change a
-// record, Clone its Doc and call Update.
+// record, Clone its Doc and call Tx.Update.
 type Record struct {
 	ID int64
 	// Doc is the probabilistic XML tree; its root tag is the record type.
@@ -75,6 +75,8 @@ type DB struct {
 	// that inference is unsound and the read path degrades to
 	// whole-store invalidation. See shard.Store.Drift.
 	locDrift atomic.Int64
+	// onCommit observes every Batch's labelled writes (see OnCommit).
+	onCommit func([]Commit)
 }
 
 // New returns an empty database.
@@ -177,38 +179,67 @@ func (tx *Tx) Collections() []string {
 
 // Tx is a view of the database inside a Batch call: the database lock is
 // held once for the whole batch, so a run of reads and writes executes
-// atomically and amortizes lock acquisition across the batch. A Tx must
-// not escape its Batch function, and Batch must not be nested or call the
-// locking DB methods (the lock is not reentrant).
+// atomically and amortizes lock acquisition across the batch. Its
+// Insert, Update and Delete are the database's only record writes. A Tx
+// must not escape its Batch function, and Batch must not be nested or
+// call the locking DB methods (the lock is not reentrant).
 type Tx struct {
-	db *DB
+	db      *DB
+	commits []Commit
+}
+
+// Commit is one write a Tx labelled for the database's commit observer.
+type Commit struct {
+	Collection string
+	RecordID   int64
+	// Action is what the write did: "inserted" or "merged" from
+	// integration, "confirmed", "rejected" or "corrected" from feedback.
+	Action string
+}
+
+// OnCommit installs the database's commit observer: Batch hands it the
+// writes its function labelled (Tx.Label), after the lock is released
+// and the writes have bumped the version, on the goroutine that called
+// Batch — so a reader it wakes always sees the new state. It must be
+// brief and must not start a Batch of its own. Install it before the
+// first Batch; the field is not synchronised against running batches.
+func (db *DB) OnCommit(fn func([]Commit)) {
+	db.onCommit = fn
 }
 
 // Batch runs fn with the database exclusively locked, giving it an
 // atomic, amortized view for multi-record work — the data-integration
-// service's find-duplicate-then-update sequences and bulk insert paths.
-// The error from fn is returned verbatim; there is no rollback, so fn is
-// responsible for leaving the database consistent on error (matching the
-// per-call semantics of the unbatched methods).
+// service's find-duplicate-then-update sequences, feedback applies and
+// decay. The error from fn is returned verbatim; there is no rollback,
+// so fn is responsible for leaving the database consistent on error.
+// The writes fn labelled are announced to the commit observer whether
+// or not fn failed: they are committed either way.
 func (db *DB) Batch(fn func(*Tx) error) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return fn(&Tx{db: db})
+	tx := &Tx{db: db}
+	err := tx.run(fn)
+	if db.onCommit != nil && len(tx.commits) > 0 {
+		db.onCommit(tx.commits)
+	}
+	return err
+}
+
+// run holds the database lock for fn, releasing it even if fn panics.
+func (tx *Tx) run(fn func(*Tx) error) error {
+	tx.db.mu.Lock()
+	defer tx.db.mu.Unlock()
+	return fn(tx)
+}
+
+// Label records that this Tx wrote record id of collection, for the
+// commit observer; action says what the write did (see Commit). A write
+// left unlabelled — certainty decay — is not announced.
+func (tx *Tx) Label(action, collection string, id int64) {
+	tx.commits = append(tx.commits, Commit{Collection: collection, RecordID: id, Action: action})
 }
 
 // Insert stores a document in the named collection and returns its record.
-func (db *DB) Insert(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*Record, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.insertLocked(collection, doc, certainty, loc)
-}
-
-// Insert is Tx's form of DB.Insert.
 func (tx *Tx) Insert(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*Record, error) {
-	return tx.db.insertLocked(collection, doc, certainty, loc)
-}
-
-func (db *DB) insertLocked(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*Record, error) {
+	db := tx.db
 	if collection == "" {
 		return nil, fmt.Errorf("xmldb: empty collection name")
 	}
@@ -287,18 +318,8 @@ func (db *DB) getLocked(collection string, id int64) (*Record, bool) {
 // newLoc is non-nil). The record must exist. The stored record is
 // replaced, not mutated, so previously returned records remain valid
 // read-only snapshots.
-func (db *DB) Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.updateLocked(collection, id, doc, certainty, newLoc)
-}
-
-// Update is Tx's form of DB.Update.
 func (tx *Tx) Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
-	return tx.db.updateLocked(collection, id, doc, certainty, newLoc)
-}
-
-func (db *DB) updateLocked(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
+	db := tx.db
 	if doc == nil {
 		return fmt.Errorf("xmldb: nil document")
 	}
@@ -349,18 +370,8 @@ func (db *DB) updateLocked(collection string, id int64, doc *pxml.Node, certaint
 }
 
 // Delete removes a record.
-func (db *DB) Delete(collection string, id int64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deleteLocked(collection, id)
-}
-
-// Delete is Tx's form of DB.Delete.
 func (tx *Tx) Delete(collection string, id int64) error {
-	return tx.db.deleteLocked(collection, id)
-}
-
-func (db *DB) deleteLocked(collection string, id int64) error {
+	db := tx.db
 	c, ok := db.collections[collection]
 	if !ok {
 		return fmt.Errorf("xmldb: collection %q not found", collection)

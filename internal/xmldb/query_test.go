@@ -135,7 +135,7 @@ func TestExecuteMatchesPossibleWorlds(t *testing.T) {
 		db := New()
 		for i := 0; i < 6; i++ {
 			doc, loc := oracleRecord(rng)
-			if _, err := db.Insert("Hotels", doc, uncertain.CF(rng.Float64()*2-1), loc); err != nil {
+			if _, err := insert(db, "Hotels", doc, uncertain.CF(rng.Float64()*2-1), loc); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -41,7 +41,7 @@ func fillSnapshotDB(t *testing.T, seed int64, n int) *DB {
 			}
 			loc = &p
 		}
-		if _, err := db.Insert(coll, doc, uncertain.CF(rng.Float64()), loc); err != nil {
+		if _, err := insert(db, coll, doc, uncertain.CF(rng.Float64()), loc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,11 +108,11 @@ func TestSnapshotRestoresSpatialIndex(t *testing.T) {
 	db.SetClock(snapClock())
 	berlin, _ := geo.NewPoint(52.52, 13.405)
 	paris, _ := geo.NewPoint(48.8566, 2.3522)
-	r1, err := db.Insert("Hotels", pxml.ElemText("Name", "A"), 0.9, &berlin)
+	r1, err := insert(db, "Hotels", pxml.ElemText("Name", "A"), 0.9, &berlin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("Hotels", pxml.ElemText("Name", "B"), 0.9, &paris); err != nil {
+	if _, err := insert(db, "Hotels", pxml.ElemText("Name", "B"), 0.9, &paris); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +143,7 @@ func TestSnapshotRestorePreservesIDSequence(t *testing.T) {
 	if err := restored.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := restored.Insert("Hotels", pxml.ElemText("Name", "new"), 0.5, nil)
+	rec, err := insert(restored, "Hotels", pxml.ElemText("Name", "new"), 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		target := New()
-		sentinel, err := target.Insert("Keep", pxml.ElemText("Name", "sentinel"), 0.5, nil)
+		sentinel, err := insert(target, "Keep", pxml.ElemText("Name", "sentinel"), 0.5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func seedDB(t *testing.T) *DB {
 	paris := geo.Point{Lat: 48.85, Lon: 2.35}
 	add := func(doc *pxml.Node, cf uncertain.CF, loc *geo.Point) *Record {
 		t.Helper()
-		rec, err := db.Insert("Hotels", doc, cf, loc)
+		rec, err := insert(db, "Hotels", doc, cf, loc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,22 +58,22 @@ func seedDB(t *testing.T) *DB {
 func TestInsertValidation(t *testing.T) {
 	db := New()
 	doc := hotelRecord("A", "B", 0.5, 0.5)
-	if _, err := db.Insert("", doc, 0.5, nil); err == nil {
+	if _, err := insert(db, "", doc, 0.5, nil); err == nil {
 		t.Error("empty collection accepted")
 	}
-	if _, err := db.Insert("H", nil, 0.5, nil); err == nil {
+	if _, err := insert(db, "H", nil, 0.5, nil); err == nil {
 		t.Error("nil doc accepted")
 	}
-	if _, err := db.Insert("H", doc, 1.5, nil); err == nil {
+	if _, err := insert(db, "H", doc, 1.5, nil); err == nil {
 		t.Error("invalid certainty accepted")
 	}
 	bad := geo.Point{Lat: 200}
-	if _, err := db.Insert("H", doc, 0.5, &bad); err == nil {
+	if _, err := insert(db, "H", doc, 0.5, &bad); err == nil {
 		t.Error("invalid location accepted")
 	}
 	invalidDoc := pxml.Elem("X", pxml.Elem("Y", pxml.Mux(
 		pxml.Text("a").WithProb(0.9), pxml.Text("b").WithProb(0.9))))
-	if _, err := db.Insert("H", invalidDoc, 0.5, nil); err == nil {
+	if _, err := insert(db, "H", invalidDoc, 0.5, nil); err == nil {
 		t.Error("invalid doc accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestCRUD(t *testing.T) {
 	fixed := time.Date(2011, 4, 1, 0, 0, 0, 0, time.UTC)
 	db.SetClock(func() time.Time { return fixed })
 	doc := hotelRecord("Axel Hotel", "Berlin", 0.9, 0.8)
-	rec, err := db.Insert("Hotels", doc, 0.8, nil)
+	rec, err := insert(db, "Hotels", doc, 0.8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCRUD(t *testing.T) {
 	// Update.
 	doc2 := hotelRecord("Axel Hotel", "Berlin", 0.95, 0.9)
 	loc := geo.Point{Lat: 52.52, Lon: 13.405}
-	if err := db.Update("Hotels", rec.ID, doc2, 0.9, &loc); err != nil {
+	if err := update(db, "Hotels", rec.ID, doc2, 0.9, &loc); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = db.Get("Hotels", rec.ID)
@@ -109,7 +109,7 @@ func TestCRUD(t *testing.T) {
 		t.Errorf("Near after update = %v", ids)
 	}
 	// Delete.
-	if err := db.Delete("Hotels", rec.ID); err != nil {
+	if err := remove(db, "Hotels", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := db.Get("Hotels", rec.ID); ok {
@@ -118,10 +118,10 @@ func TestCRUD(t *testing.T) {
 	if ids := db.Near("Hotels", loc, 1000); len(ids) != 0 {
 		t.Errorf("spatial ghost after delete: %v", ids)
 	}
-	if err := db.Delete("Hotels", 999); err == nil {
+	if err := remove(db, "Hotels", 999); err == nil {
 		t.Error("deleting missing record succeeded")
 	}
-	if err := db.Update("Nope", 1, doc2, 0.5, nil); err == nil {
+	if err := update(db, "Nope", 1, doc2, 0.5, nil); err == nil {
 		t.Error("updating missing collection succeeded")
 	}
 }
@@ -185,7 +185,7 @@ func TestQuerySpatial(t *testing.T) {
 	}
 	// Records without a location never match near().
 	noLoc := hotelRecord("Nowhere Inn", "Berlin", 0.5, 0.5)
-	if _, err := db.Insert("Hotels", noLoc, 0.5, nil); err != nil {
+	if _, err := insert(db, "Hotels", noLoc, 0.5, nil); err != nil {
 		t.Fatal(err)
 	}
 	results, err = run(db, `for $x in //Hotels where near($x, 52.52, 13.405, 50000) return $x`)
@@ -316,11 +316,11 @@ func TestEachOrderAndEarlyStop(t *testing.T) {
 func TestScoreUsesCertainty(t *testing.T) {
 	db := New()
 	doc := hotelRecord("A", "Berlin", 0.9, 0.9)
-	lo, err := db.Insert("Hotels", doc.Clone(), 0.2, nil)
+	lo, err := insert(db, "Hotels", doc.Clone(), 0.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := db.Insert("Hotels", doc.Clone(), 0.9, nil)
+	hi, err := insert(db, "Hotels", doc.Clone(), 0.9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestSetIDSequence(t *testing.T) {
 	}
 	var ids []int64
 	for i := 0; i < 3; i++ {
-		rec, err := db.Insert("Hotels", pxml.Elem("Hotel", pxml.ElemText("Hotel_Name", "X")), 0.5, nil)
+		rec, err := insert(db, "Hotels", pxml.Elem("Hotel", pxml.ElemText("Hotel_Name", "X")), 0.5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

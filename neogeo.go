@@ -76,7 +76,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mq"
-	"repro/internal/obs"
 	"repro/internal/uncertain"
 )
 
@@ -194,12 +193,6 @@ func (s *System) Stats() Stats {
 		},
 		Decay:         DecayStats(s.sys.DecayStats()),
 		Subscriptions: SubscriptionStats(s.sys.Broker.Stats()),
-		Latency: LatencyStats{
-			Ask:       latencySummary("neogeo_ask_seconds"),
-			Extract:   latencySummary("neogeo_pipeline_stage_seconds", "extract"),
-			Integrate: latencySummary("neogeo_pipeline_stage_seconds", "integrate"),
-			Transit:   latencySummary("neogeo_pipeline_transit_seconds"),
-		},
 	}
 	if c := s.sys.Cache; c != nil {
 		cs := c.Stats()
@@ -238,14 +231,6 @@ func hitRate(hits, misses int64) float64 {
 		return 0
 	}
 	return float64(hits) / float64(hits+misses)
-}
-
-// latencySummary digests one of the observability layer's histogram
-// series for Stats; series that do not exist yet (nothing observed)
-// digest to a zero summary.
-func latencySummary(name string, labels ...string) LatencySummary {
-	s := obs.Default().FindHistogram(name, labels...).Summary()
-	return LatencySummary{Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99}
 }
 
 // Checkpoint writes one durable image of the integrated store to the

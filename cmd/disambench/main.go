@@ -12,7 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
@@ -61,7 +63,10 @@ func main() {
 		names2entries[e.NormName] = append(names2entries[e.NormName], e)
 		return true
 	})
-	for name, entries := range names2entries {
+	// Sample in name order: drawing from rng while ranging over the map
+	// would make the table differ from run to run under one seed.
+	for _, name := range slices.Sorted(maps.Keys(names2entries)) {
+		entries := names2entries[name]
 		if len(entries) < 2 {
 			continue
 		}

@@ -26,6 +26,7 @@ var mutators = map[string]bool{
 	"Delete":          true,
 	"Batch":           true,
 	"Restore":         true,
+	"Install":         true,
 	"SetIDSequence":   true,
 	"AlignIDSequence": true,
 	"SetClock":        true,

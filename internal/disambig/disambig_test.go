@@ -16,19 +16,15 @@ type fixture struct {
 	ids      map[string]int64 // "name/country" -> ID
 }
 
-func newFixture(t *testing.T) *fixture {
+// newFixture builds the standard candidate set plus any extra entries.
+func newFixture(t *testing.T, extra ...gazetteer.Entry) *fixture {
 	t.Helper()
-	f := &fixture{gaz: gazetteer.New(), ids: make(map[string]int64)}
+	var entries []gazetteer.Entry
 	add := func(name string, lat, lon float64, country string, pop int64, fc gazetteer.FeatureClass) {
-		t.Helper()
-		e, err := f.gaz.Add(gazetteer.Entry{
+		entries = append(entries, gazetteer.Entry{
 			Name: name, Location: geo.Point{Lat: lat, Lon: lon},
 			Feature: fc, Country: country, Population: pop,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.ids[name+"/"+country] = e.ID
 	}
 	add("Berlin", 52.52, 13.405, "DE", 3_700_000, gazetteer.FeatureCity)
 	add("Berlin", 44.47, -71.18, "US", 10_000, gazetteer.FeatureCity)
@@ -39,6 +35,15 @@ func newFixture(t *testing.T) *fixture {
 	add("Cairo", 30.04, 31.23, "EG", 9_500_000, gazetteer.FeatureCity)
 	add("Cairo", 37.00, -89.17, "US", 2_500, gazetteer.FeatureCity)
 	add("Mill Creek", 40.0, -100.0, "US", 0, gazetteer.FeatureStream)
+	g, err := gazetteer.New(append(entries, extra...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fixture{gaz: g, ids: make(map[string]int64)}
+	g.EachEntry(func(e *gazetteer.Entry) bool {
+		f.ids[e.Name+"/"+e.Country] = e.ID
+		return true
+	})
 	f.ont = ontology.New()
 	f.ont.LoadContainment(f.gaz)
 	f.resolver = NewResolver(f.gaz, f.ont)
@@ -222,14 +227,11 @@ func TestResolveEntries(t *testing.T) {
 }
 
 func TestPreferCities(t *testing.T) {
-	f := newFixture(t)
-	// Add a stream named Paris to compete with the cities.
-	if _, err := f.gaz.Add(gazetteer.Entry{
+	// A stream named Paris competes with the cities.
+	f := newFixture(t, gazetteer.Entry{
 		Name: "Paris", Location: geo.Point{Lat: 45, Lon: -93},
 		Feature: gazetteer.FeatureStream, Country: "US",
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	res, err := f.resolver.Resolve("Paris", Context{PreferCities: true})
 	if err != nil {
 		t.Fatal(err)

@@ -16,21 +16,22 @@ import (
 
 func testService(t *testing.T) *Service {
 	t.Helper()
-	g := gazetteer.New()
+	var entries []gazetteer.Entry
 	add := func(name string, lat, lon float64, country string, pop int64) {
-		t.Helper()
-		if _, err := g.Add(gazetteer.Entry{
+		entries = append(entries, gazetteer.Entry{
 			Name: name, Location: geo.Point{Lat: lat, Lon: lon},
 			Feature: gazetteer.FeatureCity, Country: country, Population: pop,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	add("Berlin", 52.52, 13.405, "DE", 3_700_000)
 	add("Berlin", 44.47, -71.18, "US", 10_000)
 	add("Paris", 48.85, 2.35, "FR", 2_100_000)
 	add("Cairo", 30.04, 31.23, "EG", 9_500_000)
 	add("Nairobi", -1.29, 36.82, "KE", 4_400_000)
+	g, err := gazetteer.New(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := ontology.New()
 	o.LoadContainment(g)
 	s, err := NewService(kb.New(), g, o)

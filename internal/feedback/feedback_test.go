@@ -37,15 +37,15 @@ type fixture struct {
 
 func newFixture(t *testing.T, batch int) *fixture {
 	t.Helper()
-	g := gazetteer.New()
-	fr, err := g.Add(gazetteer.Entry{Name: "Paris", Location: geo.Point{Lat: 48.8566, Lon: 2.3522}, Country: "FR", Population: 2_100_000, Feature: gazetteer.FeatureCity})
+	g, err := gazetteer.New([]gazetteer.Entry{
+		{Name: "Paris", Location: geo.Point{Lat: 48.8566, Lon: 2.3522}, Country: "FR", Population: 2_100_000, Feature: gazetteer.FeatureCity},
+		{Name: "Paris", Location: geo.Point{Lat: 33.6609, Lon: -95.5555}, Country: "US", Population: 25_000, Feature: gazetteer.FeatureCity},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := g.Add(gazetteer.Entry{Name: "Paris", Location: geo.Point{Lat: 33.6609, Lon: -95.5555}, Country: "US", Population: 25_000, Feature: gazetteer.FeatureCity})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, _ := g.Get(1)
+	tx, _ := g.Get(2)
 	store, err := shard.New(2)
 	if err != nil {
 		t.Fatal(err)

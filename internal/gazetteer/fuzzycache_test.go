@@ -1,6 +1,7 @@
 package gazetteer
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -8,31 +9,31 @@ import (
 )
 
 // The fuzzy-lookup memo must be invisible to callers: repeated queries
-// return equal results, and adding a closer name invalidates the memo.
+// return what a fresh scan returns, and a gazetteer built with a closer
+// name answers from its own index, never from another build's memo.
 func TestFuzzyCacheInvalidatedByAdd(t *testing.T) {
-	g := New()
-	if _, err := g.Add(Entry{Name: "Berlin", Location: geo.Point{Lat: 52.5, Lon: 13.4}, Feature: FeatureCity}); err != nil {
-		t.Fatal(err)
-	}
+	berlin := Entry{Name: "Berlin", Location: geo.Point{Lat: 52.5, Lon: 13.4}, Feature: FeatureCity}
+	g := build(t, berlin)
 	first := g.LookupFuzzy("berlim", 1)
 	if len(first) != 1 || first[0].Name != "berlin" {
 		t.Fatalf("LookupFuzzy = %+v, want berlin", first)
 	}
 	again := g.LookupFuzzy("berlim", 1)
-	if len(again) != 1 || again[0].Name != first[0].Name {
+	if !reflect.DeepEqual(again, first) || !reflect.DeepEqual(again, g.lookupFuzzySlow("berlim", 1)) {
 		t.Fatalf("memoized LookupFuzzy diverged: %+v", again)
 	}
 
-	// An exact "berlim" entry must appear in fresh results.
-	if _, err := g.Add(Entry{Name: "Berlim", Location: geo.Point{Lat: 10, Lon: 10}, Feature: FeatureCity}); err != nil {
-		t.Fatal(err)
-	}
-	after := g.LookupFuzzy("berlim", 1)
+	// A second build with an exact "berlim" entry must show it first.
+	g2 := build(t, berlin, Entry{Name: "Berlim", Location: geo.Point{Lat: 10, Lon: 10}, Feature: FeatureCity})
+	after := g2.LookupFuzzy("berlim", 1)
 	if len(after) != 2 {
-		t.Fatalf("post-Add LookupFuzzy = %+v, want 2 matches", after)
+		t.Fatalf("second build LookupFuzzy = %+v, want 2 matches", after)
 	}
 	if after[0].Name != "berlim" || after[0].Distance != 0 {
-		t.Fatalf("exact match not first after invalidation: %+v", after)
+		t.Fatalf("exact match not first in second build: %+v", after)
+	}
+	if still := g.LookupFuzzy("berlim", 1); !reflect.DeepEqual(still, first) {
+		t.Fatalf("first build's answer changed after a second build: %+v", still)
 	}
 }
 
@@ -54,4 +55,9 @@ func TestFuzzyCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	for _, q := range queries {
+		if got, want := g.LookupFuzzy(q, 1), g.lookupFuzzySlow(q, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("LookupFuzzy(%q) = %+v, fresh scan %+v", q, got, want)
+		}
+	}
 }

@@ -1,7 +1,10 @@
 // Package gazetteer implements a GeoNames-like toponym store: named
 // geographic references with coordinates, feature classes, countries and
-// populations, indexed for exact, prefix and misspelling-tolerant lookup
-// and for spatial queries.
+// populations, indexed for exact and misspelling-tolerant lookup.
+//
+// A Gazetteer is immutable once New returns: it is built in one pass from
+// a slice of entries and read without locks. Spatial queries (Near) are a
+// linear scan; no serving path asks one, so no spatial index is kept.
 //
 // The paper uses the GeoNames database for its ambiguity statistics
 // (Table 1, Figures 1 and 2) and as the candidate source for geographic
@@ -12,7 +15,9 @@
 package gazetteer
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,27 +52,21 @@ type Entry struct {
 	Population int64  // 0 for non-populated features
 }
 
-// Gazetteer is an in-memory toponym database with name and spatial indexes.
-// Reads are safe for concurrent use; Add must not race with readers.
+// Gazetteer is an immutable in-memory toponym database with a name index.
+// It is safe for concurrent use.
 type Gazetteer struct {
-	mu      sync.RWMutex
-	entries map[int64]*Entry
-	byName  map[string][]int64 // normalised name -> entry IDs
+	entries []Entry            // entry ID i is entries[i-1]
+	byName  map[string][]int64 // normalised name -> entry IDs, ascending
 	// lenBuckets groups names by (first byte, rune length) so fuzzy lookup
 	// only scans names whose length is within the edit-distance budget.
 	lenBuckets map[bucketKey][]string
-	spatial    *geo.RTree[int64]
-	nextID     int64
 
 	// fuzzyMu guards fuzzyCache, the memo of LookupFuzzy results. Noisy
 	// streams repeat the same misspellings constantly, and the
 	// edit-distance scan dominates the extraction hot path, so memoizing
-	// it is the single largest throughput lever. Invalidated by Add.
+	// it is the single largest throughput lever.
 	fuzzyMu    sync.Mutex
-	fuzzyCache map[string][]FuzzyMatch
-	// fuzzyGen is bumped by Add so a lookup computed against the old
-	// index cannot be memoized after the invalidation (lost-update race).
-	fuzzyGen uint64
+	fuzzyCache map[fuzzyKey][]FuzzyMatch
 }
 
 type bucketKey struct {
@@ -75,57 +74,47 @@ type bucketKey struct {
 	length int
 }
 
+type fuzzyKey struct {
+	maxDist int
+	norm    string
+}
+
 // maxFuzzyCache bounds the fuzzy-lookup memo; past it the memo resets
 // wholesale (streams revisit the same misspellings, so the working set is
 // small and a full reset is cheaper than eviction bookkeeping).
 const maxFuzzyCache = 8192
 
-// New returns an empty gazetteer.
-func New() *Gazetteer {
-	return &Gazetteer{
-		entries:    make(map[int64]*Entry),
+// New builds a gazetteer from entries. Entry i gets ID i+1 and its
+// normalised name; any ID or NormName the caller set is overwritten. An
+// entry with an empty name, an invalid location or a name that
+// normalises to empty is an error.
+func New(entries []Entry) (*Gazetteer, error) {
+	g := &Gazetteer{
+		entries:    make([]Entry, len(entries)),
 		byName:     make(map[string][]int64),
 		lenBuckets: make(map[bucketKey][]string),
-		spatial:    geo.NewRTree[int64](),
-		nextID:     1,
 	}
-}
-
-// Add inserts an entry, assigning its ID and normalised name, and returns
-// the stored copy.
-func (g *Gazetteer) Add(e Entry) (*Entry, error) {
-	if strings.TrimSpace(e.Name) == "" {
-		return nil, fmt.Errorf("gazetteer: empty name")
-	}
-	if err := e.Location.Validate(); err != nil {
-		return nil, fmt.Errorf("gazetteer: entry %q: %w", e.Name, err)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	stored := e
-	stored.ID = g.nextID
-	g.nextID++
-	stored.NormName = text.NormalizeName(stored.Name)
-	if stored.NormName == "" {
-		return nil, fmt.Errorf("gazetteer: name %q normalises to empty", e.Name)
-	}
-	g.entries[stored.ID] = &stored
-	g.indexName(stored.NormName, stored.ID)
-	for _, alt := range stored.AltNames {
-		if norm := text.NormalizeName(alt); norm != "" && norm != stored.NormName {
-			g.indexName(norm, stored.ID)
+	for i, e := range entries {
+		if strings.TrimSpace(e.Name) == "" {
+			return nil, fmt.Errorf("gazetteer: entry %d: empty name", i)
+		}
+		if err := e.Location.Validate(); err != nil {
+			return nil, fmt.Errorf("gazetteer: entry %q: %w", e.Name, err)
+		}
+		e.ID = int64(i + 1)
+		e.NormName = text.NormalizeName(e.Name)
+		if e.NormName == "" {
+			return nil, fmt.Errorf("gazetteer: name %q normalises to empty", e.Name)
+		}
+		g.entries[i] = e
+		g.indexName(e.NormName, e.ID)
+		for _, alt := range e.AltNames {
+			if norm := text.NormalizeName(alt); norm != "" && norm != e.NormName {
+				g.indexName(norm, e.ID)
+			}
 		}
 	}
-	if err := g.spatial.Insert(geo.BBoxOf(stored.Location), stored.ID); err != nil {
-		return nil, fmt.Errorf("gazetteer: spatial index: %w", err)
-	}
-	// New names can change fuzzy results; drop the memo and bump the
-	// generation so in-flight lookups don't re-cache stale results.
-	g.fuzzyMu.Lock()
-	g.fuzzyCache = nil
-	g.fuzzyGen++
-	g.fuzzyMu.Unlock()
-	return &stored, nil
+	return g, nil
 }
 
 func (g *Gazetteer) indexName(norm string, id int64) {
@@ -147,40 +136,36 @@ func runeCount(s string) int {
 
 // Len returns the number of entries (references).
 func (g *Gazetteer) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	return len(g.entries)
 }
 
 // NameCount returns the number of distinct indexed names.
 func (g *Gazetteer) NameCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	return len(g.byName)
 }
 
 // Get returns the entry with the given ID.
 func (g *Gazetteer) Get(id int64) (*Entry, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	e, ok := g.entries[id]
-	return e, ok
+	if id < 1 || id > int64(len(g.entries)) {
+		return nil, false
+	}
+	return &g.entries[id-1], true
+}
+
+// entriesOf resolves a name index list to its entries, in ID order.
+func (g *Gazetteer) entriesOf(ids []int64) []*Entry {
+	out := make([]*Entry, len(ids))
+	for i, id := range ids {
+		out[i] = &g.entries[id-1]
+	}
+	return out
 }
 
 // Lookup returns all entries whose (normalised) name or alternate name
 // equals the given name, in ID order. This is the "degree of ambiguity" of
 // the name: len(Lookup(name)) is its reference count.
 func (g *Gazetteer) Lookup(name string) []*Entry {
-	norm := text.NormalizeName(name)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ids := g.byName[norm]
-	out := make([]*Entry, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, g.entries[id])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return g.entriesOf(g.byName[text.NormalizeName(name)])
 }
 
 // FuzzyMatch is a fuzzy-lookup result: the matched indexed name, its edit
@@ -207,10 +192,9 @@ func (g *Gazetteer) LookupFuzzy(name string, maxDist int) []FuzzyMatch {
 	if maxDist < 0 {
 		maxDist = 0
 	}
-	key := fmt.Sprintf("%d\x00%s", maxDist, norm)
+	key := fuzzyKey{maxDist: maxDist, norm: norm}
 	g.fuzzyMu.Lock()
 	cached, hit := g.fuzzyCache[key]
-	gen := g.fuzzyGen
 	g.fuzzyMu.Unlock()
 	if hit {
 		// The memoized slice is shared: callers must treat matches (and
@@ -219,20 +203,15 @@ func (g *Gazetteer) LookupFuzzy(name string, maxDist int) []FuzzyMatch {
 	}
 	out := g.lookupFuzzySlow(norm, maxDist)
 	g.fuzzyMu.Lock()
-	// Only memoize if no Add invalidated the index while we computed.
-	if g.fuzzyGen == gen {
-		if g.fuzzyCache == nil || len(g.fuzzyCache) >= maxFuzzyCache {
-			g.fuzzyCache = make(map[string][]FuzzyMatch)
-		}
-		g.fuzzyCache[key] = out
+	if g.fuzzyCache == nil || len(g.fuzzyCache) >= maxFuzzyCache {
+		g.fuzzyCache = make(map[fuzzyKey][]FuzzyMatch)
 	}
+	g.fuzzyCache[key] = out
 	g.fuzzyMu.Unlock()
 	return out
 }
 
 func (g *Gazetteer) lookupFuzzySlow(norm string, maxDist int) []FuzzyMatch {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	qLen := runeCount(norm)
 	seen := make(map[string]int) // name -> distance
 	// Candidate first bytes: the query's own first byte always; if the
@@ -263,13 +242,7 @@ func (g *Gazetteer) lookupFuzzySlow(norm string, maxDist int) []FuzzyMatch {
 	}
 	out := make([]FuzzyMatch, 0, len(seen))
 	for cand, dist := range seen {
-		ids := g.byName[cand]
-		entries := make([]*Entry, 0, len(ids))
-		for _, id := range ids {
-			entries = append(entries, g.entries[id])
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-		out = append(out, FuzzyMatch{Name: cand, Distance: dist, Entries: entries})
+		out = append(out, FuzzyMatch{Name: cand, Distance: dist, Entries: g.entriesOf(g.byName[cand])})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Distance != out[j].Distance {
@@ -282,50 +255,42 @@ func (g *Gazetteer) lookupFuzzySlow(norm string, maxDist int) []FuzzyMatch {
 
 // HasName reports whether the exact normalised name is indexed.
 func (g *Gazetteer) HasName(name string) bool {
-	norm := text.NormalizeName(name)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.byName[norm]) > 0
+	return len(g.byName[text.NormalizeName(name)]) > 0
 }
 
-// Near returns the entries within radiusMeters of p ordered by distance.
+// Near returns the entries within radiusMeters of p ordered by distance,
+// ties by ID. It scans every entry: a bounding box around the circle
+// prefilters, the haversine distance decides.
 func (g *Gazetteer) Near(p geo.Point, radiusMeters float64) []*Entry {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ns := g.spatial.Within(p, radiusMeters)
-	out := make([]*Entry, 0, len(ns))
-	for _, n := range ns {
-		out = append(out, g.entries[n.Value])
+	type hit struct {
+		e *Entry
+		d float64
+	}
+	box := geo.BBoxAround(p, radiusMeters)
+	var hits []hit
+	for i := range g.entries {
+		e := &g.entries[i]
+		if !box.Contains(e.Location) {
+			continue
+		}
+		if d := p.DistanceMeters(e.Location); d <= radiusMeters {
+			hits = append(hits, hit{e, d})
+		}
+	}
+	slices.SortFunc(hits, func(a, b hit) int {
+		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.e.ID, b.e.ID))
+	})
+	out := make([]*Entry, len(hits))
+	for i, h := range hits {
+		out[i] = h.e
 	}
 	return out
 }
 
-// NearestCity returns the closest populated place to p, or false when the
-// gazetteer holds none.
-func (g *Gazetteer) NearestCity(p geo.Point) (*Entry, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	// Over-fetch because the nearest entries may be non-cities.
-	for _, k := range []int{8, 64, 512} {
-		for _, n := range g.spatial.Nearest(p, k) {
-			e := g.entries[n.Value]
-			if e.Feature == FeatureCity {
-				return e, true
-			}
-		}
-		if k >= g.spatial.Len() {
-			break
-		}
-	}
-	return nil, false
-}
-
-// EachEntry visits every entry in unspecified order until fn returns false.
+// EachEntry visits every entry in ID order until fn returns false.
 func (g *Gazetteer) EachEntry(fn func(*Entry) bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	for _, e := range g.entries {
-		if !fn(e) {
+	for i := range g.entries {
+		if !fn(&g.entries[i]) {
 			return
 		}
 	}

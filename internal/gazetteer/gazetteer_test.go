@@ -1,32 +1,40 @@
 package gazetteer
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/geo"
 )
 
-func addTestEntry(t *testing.T, g *Gazetteer, name string, lat, lon float64, feature FeatureClass, country string, pop int64) *Entry {
-	t.Helper()
-	e, err := g.Add(Entry{
+func testEntry(name string, lat, lon float64, feature FeatureClass, country string, pop int64) Entry {
+	return Entry{
 		Name:       name,
 		Location:   geo.Point{Lat: lat, Lon: lon},
 		Feature:    feature,
 		Country:    country,
 		Population: pop,
-	})
-	if err != nil {
-		t.Fatalf("Add(%q): %v", name, err)
 	}
-	return e
+}
+
+func build(t *testing.T, entries ...Entry) *Gazetteer {
+	t.Helper()
+	g, err := New(entries)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return g
 }
 
 func TestAddAndLookup(t *testing.T) {
-	g := New()
-	addTestEntry(t, g, "Berlin", 52.52, 13.405, FeatureCity, "DE", 3700000)
-	addTestEntry(t, g, "Berlin", 44.47, -71.18, FeatureCity, "US", 10000)
-	addTestEntry(t, g, "Paris", 48.85, 2.35, FeatureCity, "FR", 2100000)
+	g := build(t,
+		testEntry("Berlin", 52.52, 13.405, FeatureCity, "DE", 3700000),
+		testEntry("Berlin", 44.47, -71.18, FeatureCity, "US", 10000),
+		testEntry("Paris", 48.85, 2.35, FeatureCity, "FR", 2100000),
+	)
 
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
@@ -38,8 +46,11 @@ func TestAddAndLookup(t *testing.T) {
 	if len(refs) != 2 {
 		t.Fatalf("Lookup(berlin) = %d refs", len(refs))
 	}
-	if refs[0].ID >= refs[1].ID {
-		t.Error("lookup results not in ID order")
+	if refs[0].ID != 1 || refs[1].ID != 2 {
+		t.Errorf("lookup IDs = %d, %d; want input order 1, 2", refs[0].ID, refs[1].ID)
+	}
+	if refs[0].Country != "DE" || refs[0].NormName != "berlin" {
+		t.Errorf("first Berlin = %+v", refs[0])
 	}
 	if got := g.Lookup("munich"); len(got) != 0 {
 		t.Errorf("unknown lookup = %v", got)
@@ -47,30 +58,30 @@ func TestAddAndLookup(t *testing.T) {
 }
 
 func TestAddValidation(t *testing.T) {
-	g := New()
-	if _, err := g.Add(Entry{Name: "", Location: geo.Point{}}); err == nil {
-		t.Error("empty name accepted")
+	for _, bad := range []Entry{
+		{Name: "", Location: geo.Point{}},
+		{Name: "X", Location: geo.Point{Lat: 200}},
+		{Name: "!!!", Location: geo.Point{}},
+	} {
+		ok := testEntry("Berlin", 52.52, 13.405, FeatureCity, "DE", 0)
+		if _, err := New([]Entry{ok, bad}); err == nil {
+			t.Errorf("New accepted %+v", bad)
+		}
 	}
-	if _, err := g.Add(Entry{Name: "X", Location: geo.Point{Lat: 200}}); err == nil {
-		t.Error("bad location accepted")
-	}
-	if _, err := g.Add(Entry{Name: "!!!", Location: geo.Point{}}); err == nil {
-		t.Error("name normalising to empty accepted")
+	empty := build(t)
+	if empty.Len() != 0 || empty.NameCount() != 0 {
+		t.Errorf("empty gazetteer: Len %d, NameCount %d", empty.Len(), empty.NameCount())
 	}
 }
 
 func TestAltNameLookup(t *testing.T) {
-	g := New()
-	_, err := g.Add(Entry{
+	g := build(t, Entry{
 		Name:     "München",
 		AltNames: []string{"Munich", "Muenchen"},
 		Location: geo.Point{Lat: 48.14, Lon: 11.58},
 		Feature:  FeatureCity,
 		Country:  "DE",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, q := range []string{"München", "Munich", "Muenchen", "munich"} {
 		if refs := g.Lookup(q); len(refs) != 1 {
 			t.Errorf("Lookup(%q) = %d refs", q, len(refs))
@@ -79,9 +90,10 @@ func TestAltNameLookup(t *testing.T) {
 }
 
 func TestLookupFuzzy(t *testing.T) {
-	g := New()
-	addTestEntry(t, g, "Movenpick Hotel", 52.52, 13.40, FeatureCity, "DE", 0)
-	addTestEntry(t, g, "Berlin", 52.52, 13.405, FeatureCity, "DE", 3700000)
+	g := build(t,
+		testEntry("Movenpick Hotel", 52.52, 13.40, FeatureCity, "DE", 0),
+		testEntry("Berlin", 52.52, 13.405, FeatureCity, "DE", 3700000),
+	)
 
 	// Transposition within distance 1.
 	ms := g.LookupFuzzy("Movenpick Hotle", 2)
@@ -109,8 +121,7 @@ func TestLookupFuzzy(t *testing.T) {
 }
 
 func TestLookupFuzzyFirstLetterEdit(t *testing.T) {
-	g := New()
-	addTestEntry(t, g, "Berlin", 52.52, 13.405, FeatureCity, "DE", 0)
+	g := build(t, testEntry("Berlin", 52.52, 13.405, FeatureCity, "DE", 0))
 	// First letter wrong: "merlin" -> "berlin" needs a cross-bucket scan.
 	ms := g.LookupFuzzy("merlin", 1)
 	if len(ms) != 1 || ms[0].Name != "berlin" {
@@ -119,8 +130,7 @@ func TestLookupFuzzyFirstLetterEdit(t *testing.T) {
 }
 
 func TestHasName(t *testing.T) {
-	g := New()
-	addTestEntry(t, g, "Axel Hotel", 52.5, 13.4, FeatureCity, "DE", 0)
+	g := build(t, testEntry("Axel Hotel", 52.5, 13.4, FeatureCity, "DE", 0))
 	if !g.HasName("axel hotel") || !g.HasName("Axel  Hotel!") {
 		t.Error("HasName misses normalised variants")
 	}
@@ -130,62 +140,97 @@ func TestHasName(t *testing.T) {
 }
 
 func TestNear(t *testing.T) {
-	g := New()
-	b := addTestEntry(t, g, "Berlin", 52.52, 13.405, FeatureCity, "DE", 3700000)
-	addTestEntry(t, g, "Potsdam", 52.39, 13.06, FeatureCity, "DE", 180000)
-	addTestEntry(t, g, "Paris", 48.85, 2.35, FeatureCity, "FR", 2100000)
+	g := build(t,
+		testEntry("Berlin", 52.52, 13.405, FeatureCity, "DE", 3700000),
+		testEntry("Potsdam", 52.39, 13.06, FeatureCity, "DE", 180000),
+		testEntry("Paris", 48.85, 2.35, FeatureCity, "FR", 2100000),
+	)
 
 	near := g.Near(geo.Point{Lat: 52.52, Lon: 13.405}, 50000)
 	if len(near) != 2 {
 		t.Fatalf("Near 50km = %d entries", len(near))
 	}
-	if near[0].ID != b.ID {
+	if near[0].Name != "Berlin" {
 		t.Error("nearest-first ordering violated")
 	}
 }
 
-func TestNearestCity(t *testing.T) {
-	g := New()
-	addTestEntry(t, g, "Mill Creek", 52.50, 13.40, FeatureStream, "DE", 0)
-	addTestEntry(t, g, "Berlin", 52.52, 13.405, FeatureCity, "DE", 3700000)
-	e, ok := g.NearestCity(geo.Point{Lat: 52.505, Lon: 13.401})
-	if !ok {
-		t.Fatal("no city found")
+// Near's linear scan answers exactly what the R-tree it replaced
+// answered: the same entries in the same distance order.
+func TestNearMatchesRTree(t *testing.T) {
+	g, err := Synthesize(Config{Names: 2000, Seed: 2011})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The stream is closer but must be skipped.
-	if e.Name != "Berlin" {
-		t.Errorf("NearestCity = %q", e.Name)
-	}
-	empty := New()
-	if _, ok := empty.NearestCity(geo.Point{}); ok {
-		t.Error("empty gazetteer returned a city")
+	tree := geo.NewRTree[int64]()
+	g.EachEntry(func(e *Entry) bool {
+		if err := tree.Insert(geo.BBoxOf(e.Location), e.ID); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	rng := rand.New(rand.NewSource(2011))
+	for q := 0; q < 200; q++ {
+		var p geo.Point
+		if q%4 == 0 { // centred on an entry: distance 0 must come first
+			e, _ := g.Get(1 + rng.Int63n(int64(g.Len())))
+			p = e.Location
+		} else {
+			c := Countries[rng.Intn(len(Countries))]
+			p = randomPointIn(rng, c.Box)
+		}
+		radius := rng.Float64() * 500_000
+		if q%10 == 0 {
+			radius = 0
+		}
+		var want []int64
+		ns := tree.Within(p, radius)
+		// Within orders by distance only; break its ties by ID as Near does.
+		slices.SortFunc(ns, func(a, b geo.Neighbor[int64]) int {
+			return cmp.Or(cmp.Compare(a.DistanceMeters, b.DistanceMeters), cmp.Compare(a.Value, b.Value))
+		})
+		for _, n := range ns {
+			want = append(want, n.Value)
+		}
+		var got []int64
+		for _, e := range g.Near(p, radius) {
+			got = append(got, e.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d at %v r=%.0f: Near = %v, R-tree = %v", q, p, radius, got, want)
+		}
 	}
 }
 
 func TestGet(t *testing.T) {
-	g := New()
-	e := addTestEntry(t, g, "Berlin", 52.52, 13.405, FeatureCity, "DE", 0)
-	got, ok := g.Get(e.ID)
-	if !ok || got.Name != "Berlin" {
-		t.Errorf("Get = %v, %v", got, ok)
+	g := build(t,
+		testEntry("Berlin", 52.52, 13.405, FeatureCity, "DE", 0),
+		testEntry("Paris", 48.85, 2.35, FeatureCity, "FR", 0),
+	)
+	got, ok := g.Get(2)
+	if !ok || got.Name != "Paris" || got.ID != 2 {
+		t.Errorf("Get(2) = %v, %v", got, ok)
 	}
-	if _, ok := g.Get(99999); ok {
-		t.Error("missing ID found")
+	for _, id := range []int64{0, -1, 3, 99999} {
+		if e, ok := g.Get(id); ok || e != nil {
+			t.Errorf("Get(%d) = %v, %v; want nil, false", id, e, ok)
+		}
 	}
 }
 
 func TestEachEntryEarlyStop(t *testing.T) {
-	g := New()
+	var entries []Entry
 	for i := 0; i < 10; i++ {
-		addTestEntry(t, g, "City"+strings.Repeat("x", i+1), 10, 10, FeatureCity, "US", 0)
+		entries = append(entries, testEntry("City"+strings.Repeat("x", i+1), 10, 10, FeatureCity, "US", 0))
 	}
-	n := 0
-	g.EachEntry(func(*Entry) bool {
-		n++
-		return n < 3
+	g := build(t, entries...)
+	var visited []int64
+	g.EachEntry(func(e *Entry) bool {
+		visited = append(visited, e.ID)
+		return len(visited) < 3
 	})
-	if n != 3 {
-		t.Errorf("visited %d, want 3", n)
+	if !slices.Equal(visited, []int64{1, 2, 3}) {
+		t.Errorf("visited %v, want [1 2 3] (ID order, stopped after 3)", visited)
 	}
 }
 

@@ -11,15 +11,16 @@ func newTestRand(seed int64) *rand.Rand {
 }
 
 func TestTopAmbiguousSmall(t *testing.T) {
-	g := New()
+	var es []Entry
 	for i := 0; i < 3; i++ {
-		addTestEntry(t, g, "Springfield", 40, -90+float64(i), FeatureCity, "US", 0)
+		es = append(es, testEntry("Springfield", 40, -90+float64(i), FeatureCity, "US", 0))
 	}
 	for i := 0; i < 2; i++ {
-		addTestEntry(t, g, "Paris", 48, 2+float64(i), FeatureCity, "FR", 0)
+		es = append(es, testEntry("Paris", 48, 2+float64(i), FeatureCity, "FR", 0))
 	}
-	addTestEntry(t, g, "Enschede", 52.2, 6.9, FeatureCity, "NL", 0)
+	es = append(es, testEntry("Enschede", 52.2, 6.9, FeatureCity, "NL", 0))
 
+	g := build(t, es...)
 	top := g.TopAmbiguous(10)
 	if len(top) != 3 {
 		t.Fatalf("TopAmbiguous = %v", top)
@@ -37,13 +38,14 @@ func TestTopAmbiguousSmall(t *testing.T) {
 }
 
 func TestAmbiguityHistogramSmall(t *testing.T) {
-	g := New()
+	var es []Entry
 	for i := 0; i < 3; i++ {
-		addTestEntry(t, g, "Springfield", 40, -90+float64(i), FeatureCity, "US", 0)
+		es = append(es, testEntry("Springfield", 40, -90+float64(i), FeatureCity, "US", 0))
 	}
-	addTestEntry(t, g, "Enschede", 52.2, 6.9, FeatureCity, "NL", 0)
-	addTestEntry(t, g, "Hengelo", 52.27, 6.79, FeatureCity, "NL", 0)
+	es = append(es, testEntry("Enschede", 52.2, 6.9, FeatureCity, "NL", 0))
+	es = append(es, testEntry("Hengelo", 52.27, 6.79, FeatureCity, "NL", 0))
 
+	g := build(t, es...)
 	hist := g.AmbiguityHistogram()
 	if len(hist) != 2 {
 		t.Fatalf("histogram = %v", hist)
@@ -57,31 +59,33 @@ func TestAmbiguityHistogramSmall(t *testing.T) {
 }
 
 func TestSharesSmall(t *testing.T) {
-	g := New()
+	var es []Entry
 	// 2 singles, 1 double, 1 quad -> shares 0.5, 0.25, 0, 0.25.
-	addTestEntry(t, g, "A Town", 10, 10, FeatureCity, "US", 0)
-	addTestEntry(t, g, "B Town", 11, 10, FeatureCity, "US", 0)
+	es = append(es, testEntry("A Town", 10, 10, FeatureCity, "US", 0))
+	es = append(es, testEntry("B Town", 11, 10, FeatureCity, "US", 0))
 	for i := 0; i < 2; i++ {
-		addTestEntry(t, g, "C Town", 12, 10+float64(i), FeatureCity, "US", 0)
+		es = append(es, testEntry("C Town", 12, 10+float64(i), FeatureCity, "US", 0))
 	}
 	for i := 0; i < 4; i++ {
-		addTestEntry(t, g, "D Town", 13, 10+float64(i), FeatureCity, "US", 0)
+		es = append(es, testEntry("D Town", 13, 10+float64(i), FeatureCity, "US", 0))
 	}
+	g := build(t, es...)
 	s := g.Shares()
 	if s.One != 0.5 || s.Two != 0.25 || s.Three != 0 || s.FourOrMore != 0.25 {
 		t.Errorf("shares = %+v", s)
 	}
 	// Empty gazetteer: all zero.
-	if z := New().Shares(); z != (ReferenceShares{}) {
+	if z := build(t).Shares(); z != (ReferenceShares{}) {
 		t.Errorf("empty shares = %+v", z)
 	}
 }
 
 func TestAmbiguityOf(t *testing.T) {
-	g := New()
+	var es []Entry
 	for i := 0; i < 3; i++ {
-		addTestEntry(t, g, "Cairo", 30, 31+float64(i), FeatureCity, "EG", 0)
+		es = append(es, testEntry("Cairo", 30, 31+float64(i), FeatureCity, "EG", 0))
 	}
+	g := build(t, es...)
 	if got := g.AmbiguityOf("cairo"); got != 3 {
 		t.Errorf("AmbiguityOf = %d", got)
 	}
@@ -91,12 +95,13 @@ func TestAmbiguityOf(t *testing.T) {
 }
 
 func TestWriteTable1AndFigures(t *testing.T) {
-	g := New()
+	var es []Entry
 	for i := 0; i < 2; i++ {
-		addTestEntry(t, g, "Paris", 48, 2+float64(i), FeatureCity, "FR", 0)
+		es = append(es, testEntry("Paris", 48, 2+float64(i), FeatureCity, "FR", 0))
 	}
-	addTestEntry(t, g, "Enschede", 52.2, 6.9, FeatureCity, "NL", 0)
+	es = append(es, testEntry("Enschede", 52.2, 6.9, FeatureCity, "NL", 0))
 
+	g := build(t, es...)
 	var sb strings.Builder
 	if err := g.WriteTable1(&sb, 5); err != nil {
 		t.Fatal(err)

@@ -85,33 +85,28 @@ func Synthesize(cfg Config) (*Gazetteer, error) {
 		return nil, fmt.Errorf("gazetteer: negative name count %d", cfg.Names)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := New()
+	var entries []Entry
 	used := make(map[string]bool)
 
 	// 1. Anchor cities with their true locations.
 	for _, a := range anchorCities {
-		e := Entry{
+		entries = append(entries, Entry{
 			Name:       a.name,
 			Location:   geo.Point{Lat: a.lat, Lon: a.lon},
 			Feature:    FeatureCity,
 			Country:    a.country,
 			Population: a.population,
-		}
-		if _, err := g.Add(e); err != nil {
-			return nil, err
-		}
+		})
 		used[strings.ToLower(a.name)] = true
 		for i := 0; i < a.extraRefs; i++ {
 			c := pickCountry(rng)
-			if _, err := g.Add(Entry{
+			entries = append(entries, Entry{
 				Name:       a.name,
 				Location:   randomPointIn(rng, c.Box),
 				Feature:    FeatureCity,
 				Country:    c.Code,
 				Population: int64(rng.Intn(40000)),
-			}); err != nil {
-				return nil, err
-			}
+			})
 		}
 	}
 
@@ -131,15 +126,13 @@ func Synthesize(cfg Config) (*Gazetteer, error) {
 			if seed.feature == FeatureCity {
 				pop = int64(rng.Intn(80000))
 			}
-			if _, err := g.Add(Entry{
+			entries = append(entries, Entry{
 				Name:       seed.name,
 				Location:   randomPointIn(rng, c.Box),
 				Feature:    seed.feature,
 				Country:    c.Code,
 				Population: pop,
-			}); err != nil {
-				return nil, err
-			}
+			})
 		}
 	}
 
@@ -157,20 +150,17 @@ func Synthesize(cfg Config) (*Gazetteer, error) {
 			if feature == FeatureCity {
 				pop = zipfPopulation(rng)
 			}
-			e := Entry{
+			entries = append(entries, Entry{
 				Name:       name,
 				AltNames:   alt,
 				Location:   randomPointIn(rng, c.Box),
 				Feature:    feature,
 				Country:    c.Code,
 				Population: pop,
-			}
-			if _, err := g.Add(e); err != nil {
-				return nil, err
-			}
+			})
 		}
 	}
-	return g, nil
+	return New(entries)
 }
 
 // sampleDegree draws a reference count per the paper's Figure 2:

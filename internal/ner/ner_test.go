@@ -10,15 +10,12 @@ import (
 
 func testExtractor(t *testing.T) *Extractor {
 	t.Helper()
-	g := gazetteer.New()
+	var entries []gazetteer.Entry
 	add := func(name string, lat, lon float64, country string, pop int64) {
-		t.Helper()
-		if _, err := g.Add(gazetteer.Entry{
+		entries = append(entries, gazetteer.Entry{
 			Name: name, Location: geo.Point{Lat: lat, Lon: lon},
 			Feature: gazetteer.FeatureCity, Country: country, Population: pop,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	add("Berlin", 52.52, 13.405, "DE", 3700000)
 	add("Berlin", 44.47, -71.18, "US", 10000)
@@ -26,6 +23,10 @@ func testExtractor(t *testing.T) *Extractor {
 	add("Paris", 33.66, -95.55, "US", 25000)
 	add("Cairo", 30.04, 31.23, "EG", 9500000)
 	add("Amsterdam", 52.36, 4.90, "NL", 870000)
+	g, err := gazetteer.New(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := ontology.New()
 	return NewExtractor(g, o)
 }

@@ -204,7 +204,9 @@ func (o *Ontology) CountryOf(place string) (string, bool) {
 
 // LoadContainment derives containment facts from a gazetteer: each distinct
 // city name maps to the country of its most populous reference, the same
-// "prominence" default GeoNames-based resolvers use.
+// "prominence" default GeoNames-based resolvers use. Among namesakes tied
+// on population the lowest ID wins, so the facts are the same on every
+// load.
 func (o *Ontology) LoadContainment(g *gazetteer.Gazetteer) {
 	best := make(map[string]*gazetteer.Entry)
 	g.EachEntry(func(e *gazetteer.Entry) bool {

@@ -98,11 +98,11 @@ func TestAncestors(t *testing.T) {
 }
 
 func TestContainment(t *testing.T) {
-	g := gazetteer.New()
-	if _, err := g.Add(gazetteer.Entry{
+	g, err := gazetteer.New([]gazetteer.Entry{{
 		Name: "Berlin", Location: geo.Point{Lat: 52.52, Lon: 13.40},
 		Feature: gazetteer.FeatureCity, Country: "DE", Population: 3700000,
-	}); err != nil {
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	o := New()
@@ -116,30 +116,53 @@ func TestContainment(t *testing.T) {
 }
 
 func TestLoadContainment(t *testing.T) {
-	g := gazetteer.New()
-	mustAdd := func(name string, lat, lon float64, country string, pop int64, f gazetteer.FeatureClass) {
-		t.Helper()
-		_, err := g.Add(gazetteer.Entry{
+	var entries []gazetteer.Entry
+	add := func(name string, lat, lon float64, country string, pop int64, f gazetteer.FeatureClass) {
+		entries = append(entries, gazetteer.Entry{
 			Name: name, Location: geo.Point{Lat: lat, Lon: lon},
 			Feature: f, Country: country, Population: pop,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	mustAdd("Berlin", 52.52, 13.40, "DE", 3700000, gazetteer.FeatureCity)
-	mustAdd("Berlin", 44.47, -71.18, "US", 10000, gazetteer.FeatureCity)
-	mustAdd("Mill Creek", 40, -100, "US", 0, gazetteer.FeatureStream)
+	add("Berlin", 44.47, -71.18, "US", 10000, gazetteer.FeatureCity)
+	add("Berlin", 52.52, 13.40, "DE", 3700000, gazetteer.FeatureCity)
+	add("Mill Creek", 40, -100, "US", 0, gazetteer.FeatureStream)
+	g, err := gazetteer.New(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	o := New()
 	o.LoadContainment(g)
-	// Most populous Berlin wins.
+	// Most populous Berlin wins, though it has the higher ID.
 	if c, ok := o.CountryOf("Berlin"); !ok || c != "DE" {
 		t.Errorf("CountryOf(Berlin) = %q, %v", c, ok)
 	}
 	// Streams are not containment facts.
 	if _, ok := o.CountryOf("Mill Creek"); ok {
 		t.Error("stream loaded as containment fact")
+	}
+}
+
+// Namesakes that tie on population resolve to the lowest ID's country,
+// on every load.
+func TestLoadContainmentTieLowestID(t *testing.T) {
+	g, err := gazetteer.New([]gazetteer.Entry{
+		{Name: "Rathenham", Location: geo.Point{Lat: 45, Lon: -75}, Feature: gazetteer.FeatureCity, Country: "CA", Population: 5000},
+		{Name: "Rathenham", Location: geo.Point{Lat: 40, Lon: -90}, Feature: gazetteer.FeatureCity, Country: "US", Population: 5000},
+		{Name: "Vashuzie", Location: geo.Point{Lat: 20, Lon: -100}, Feature: gazetteer.FeatureCity, Country: "MX", Population: 700},
+		{Name: "Vashuzie", Location: geo.Point{Lat: 35, Lon: -100}, Feature: gazetteer.FeatureCity, Country: "US", Population: 700},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		o := New()
+		o.LoadContainment(g)
+		for name, want := range map[string]string{"rathenham": "CA", "vashuzie": "MX"} {
+			if c, ok := o.CountryOf(name); !ok || c != want {
+				t.Fatalf("load %d: CountryOf(%s) = %q, %v; want %s (lowest ID)", i, name, c, ok, want)
+			}
+		}
 	}
 }
 

@@ -28,26 +28,29 @@ type world struct {
 
 var t0 = time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
 
-func newWorld(t *testing.T) *world {
+// newWorld builds the standard small world plus any extra gazetteer
+// entries.
+func newWorld(t *testing.T, extra ...gazetteer.Entry) *world {
 	t.Helper()
 	store, err := shard.New(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{gaz: gazetteer.New(), kb: kb.New(), db: store.Shard(0)}
+	var entries []gazetteer.Entry
 	add := func(name string, lat, lon float64, country string, pop int64) {
-		t.Helper()
-		if _, err := w.gaz.Add(gazetteer.Entry{
+		entries = append(entries, gazetteer.Entry{
 			Name: name, Location: geo.Point{Lat: lat, Lon: lon},
 			Feature: gazetteer.FeatureCity, Country: country, Population: pop,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	add("Berlin", 52.52, 13.405, "DE", 3_700_000)
 	add("Berlin", 44.47, -71.18, "US", 10_000)
 	add("Paris", 48.85, 2.35, "FR", 2_100_000)
 	add("Nairobi", -1.29, 36.82, "KE", 4_400_000)
+	w := &world{kb: kb.New(), db: store.Shard(0)}
+	if w.gaz, err = gazetteer.New(append(entries, extra...)); err != nil {
+		t.Fatal(err)
+	}
 	w.ont = ontology.New()
 	w.ont.LoadContainment(w.gaz)
 	if w.ie, err = extract.NewService(w.kb, w.gaz, w.ont); err != nil {
@@ -223,15 +226,11 @@ func TestJoinNatural(t *testing.T) {
 // spatial near() predicate rather than a City equality: a suburb hotel
 // outside the city proper must still be found, a Berlin one must not.
 func TestNearPlaceSpatialQuery(t *testing.T) {
-	w := newWorld(t)
 	// Versailles sits ~17 km from central Paris with a different City.
-	if _, err := w.gaz.Add(gazetteer.Entry{
+	w := newWorld(t, gazetteer.Entry{
 		Name: "Versailles", Location: geo.Point{Lat: 48.8049, Lon: 2.1204},
 		Feature: gazetteer.FeatureCity, Country: "FR", Population: 85_000,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w.ont.LoadContainment(w.gaz)
+	})
 
 	w.ingest(t, "lovely stay at the Lumiere Hotel in Paris, great staff", "u1")
 	w.ingest(t, "the Orangerie Hotel in Versailles was wonderful and cheap", "u2")

@@ -45,11 +45,11 @@ func (s *Store) Snapshot(w io.Writer) error {
 // snapshot produced by Snapshot. The snapshot's shard count must match
 // this store's — sections are placed by position, and record IDs encode
 // their home shard, so restoring into a different layout would scatter
-// records off their routes. All sections are read and validated against
-// scratch databases before any live shard is touched, so a malformed
-// snapshot leaves the store unchanged; afterwards each shard's ID
-// sequence is re-aligned onto its residue class so new inserts keep
-// strided, globally unique IDs.
+// records off their routes. Every section is decoded and validated once,
+// before any live shard is touched, so a malformed snapshot leaves the
+// store unchanged; then all are installed, and each shard's ID sequence
+// is re-aligned onto its residue class so new inserts keep strided,
+// globally unique IDs.
 func (s *Store) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
@@ -64,23 +64,20 @@ func (s *Store) Restore(r io.Reader) error {
 		return fmt.Errorf("shard: restore: snapshot has %d shard(s), store has %d", count, len(s.dbs))
 	}
 
-	sections := make([][]byte, count)
-	for i := range sections {
-		if sections[i], err = ReadSection(br); err != nil {
+	staged := make([]*xmldb.Staged, count)
+	for i := range staged {
+		section, err := ReadSection(br)
+		if err != nil {
 			return fmt.Errorf("shard: restore: shard %d section: %w", i, err)
 		}
-		// Full validation pass against a scratch database: the section
-		// must restore cleanly before any live shard is replaced.
-		if err := xmldb.New().Restore(bytes.NewReader(sections[i])); err != nil {
+		if staged[i], err = xmldb.DecodeSnapshot(bytes.NewReader(section)); err != nil {
 			return fmt.Errorf("shard: restore: shard %d: %w", i, err)
 		}
 	}
 
 	n := int64(len(s.dbs))
 	for i, db := range s.dbs {
-		if err := db.Restore(bytes.NewReader(sections[i])); err != nil {
-			return fmt.Errorf("shard: restore: shard %d: %w", i, err)
-		}
+		db.Install(staged[i])
 		if err := db.AlignIDSequence(int64(i)+1, n); err != nil {
 			return fmt.Errorf("shard: restore: shard %d: %w", i, err)
 		}

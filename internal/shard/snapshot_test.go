@@ -134,4 +134,35 @@ func TestRestoreValidation(t *testing.T) {
 	if err := populated.Restore(strings.NewReader("not a snapshot\n")); err == nil {
 		t.Error("garbage stream accepted")
 	}
+
+	// A well-framed image whose last section fails to decode is refused
+	// before any shard is installed, so the shard ahead of it keeps its
+	// contents too.
+	var good bytes.Buffer
+	if err := src.Shard(0).Snapshot(&good); err != nil {
+		t.Fatal(err)
+	}
+	var bad bytes.Buffer
+	fmt.Fprintf(&bad, "%s 2\n", snapshotMagic)
+	for _, section := range [][]byte{good.Bytes(), []byte(`<xmldb><collection name=""></collection></xmldb>`)} {
+		if err := WriteSection(&bad, section); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, city := range []string{"Paris", "Nairobi", "Lagos", "Tokyo"} {
+		insertRouted(t, populated, "Hotels", snapshotDoc(t, fmt.Sprintf("Hotel %d", i), city), 0.9, nil)
+	}
+	var beforeImg, afterImg bytes.Buffer
+	if err := populated.Snapshot(&beforeImg); err != nil {
+		t.Fatal(err)
+	}
+	if err := populated.Restore(bytes.NewReader(bad.Bytes())); err == nil {
+		t.Error("image with a malformed section accepted")
+	}
+	if err := populated.Snapshot(&afterImg); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(beforeImg.Bytes(), afterImg.Bytes()) {
+		t.Error("refused restore changed a shard")
+	}
 }

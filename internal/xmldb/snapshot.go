@@ -94,9 +94,27 @@ func (db *DB) collectionNamesLocked() []string {
 // validated (document structure, certainty range, coordinates, duplicate
 // IDs) before the swap.
 func (db *DB) Restore(r io.Reader) error {
+	st, err := DecodeSnapshot(r)
+	if err != nil {
+		return err
+	}
+	db.Install(st)
+	return nil
+}
+
+// Staged is a decoded, validated snapshot that no database holds yet.
+// Install it into exactly one database.
+type Staged struct {
+	collections map[string]*Collection
+	nextID      int64
+}
+
+// DecodeSnapshot reads and validates a snapshot written by Snapshot
+// without touching any database.
+func DecodeSnapshot(r io.Reader) (*Staged, error) {
 	var env snapEnvelope
 	if err := xml.NewDecoder(r).Decode(&env); err != nil {
-		return fmt.Errorf("xmldb: restore: %w", err)
+		return nil, fmt.Errorf("xmldb: restore: %w", err)
 	}
 
 	staged := make(map[string]*Collection, len(env.Collections))
@@ -104,10 +122,10 @@ func (db *DB) Restore(r io.Reader) error {
 	seen := make(map[int64]bool)
 	for _, sc := range env.Collections {
 		if sc.Name == "" {
-			return fmt.Errorf("xmldb: restore: collection with empty name")
+			return nil, fmt.Errorf("xmldb: restore: collection with empty name")
 		}
 		if _, dup := staged[sc.Name]; dup {
-			return fmt.Errorf("xmldb: restore: duplicate collection %q", sc.Name)
+			return nil, fmt.Errorf("xmldb: restore: duplicate collection %q", sc.Name)
 		}
 		c := &Collection{
 			name:    sc.Name,
@@ -116,37 +134,36 @@ func (db *DB) Restore(r io.Reader) error {
 		}
 		for _, sr := range sc.Records {
 			if sr.ID <= 0 {
-				return fmt.Errorf("xmldb: restore: %s: invalid record id %d", sc.Name, sr.ID)
+				return nil, fmt.Errorf("xmldb: restore: %s: invalid record id %d", sc.Name, sr.ID)
 			}
 			if seen[sr.ID] {
-				return fmt.Errorf("xmldb: restore: duplicate record id %d", sr.ID)
+				return nil, fmt.Errorf("xmldb: restore: duplicate record id %d", sr.ID)
 			}
 			seen[sr.ID] = true
 			cf := uncertain.CF(sr.Certainty)
 			if err := cf.Validate(); err != nil {
-				return fmt.Errorf("xmldb: restore: %s/%d: %w", sc.Name, sr.ID, err)
+				return nil, fmt.Errorf("xmldb: restore: %s/%d: %w", sc.Name, sr.ID, err)
 			}
 			doc, err := pxml.Unmarshal(sr.Inner)
 			if err != nil {
-				return fmt.Errorf("xmldb: restore: %s/%d: %w", sc.Name, sr.ID, err)
+				return nil, fmt.Errorf("xmldb: restore: %s/%d: %w", sc.Name, sr.ID, err)
 			}
 			updated, err := time.Parse(time.RFC3339Nano, sr.Updated)
 			if err != nil {
-				return fmt.Errorf("xmldb: restore: %s/%d: bad timestamp: %w", sc.Name, sr.ID, err)
+				return nil, fmt.Errorf("xmldb: restore: %s/%d: bad timestamp: %w", sc.Name, sr.ID, err)
 			}
 			rec := &Record{ID: sr.ID, Doc: doc, Certainty: cf, Updated: updated}
 			if (sr.Lat == nil) != (sr.Lon == nil) {
-				return fmt.Errorf("xmldb: restore: %s/%d: partial location", sc.Name, sr.ID)
+				return nil, fmt.Errorf("xmldb: restore: %s/%d: partial location", sc.Name, sr.ID)
 			}
 			if sr.Lat != nil {
 				p, err := geo.NewPoint(*sr.Lat, *sr.Lon)
 				if err != nil {
-					return fmt.Errorf("xmldb: restore: %s/%d: %w", sc.Name, sr.ID, err)
+					return nil, fmt.Errorf("xmldb: restore: %s/%d: %w", sc.Name, sr.ID, err)
 				}
 				rec.Location = &p
 				if err := c.spatial.Insert(geo.BBoxOf(p), rec.ID); err != nil {
-					//lint:ignore versionbump mutations land in a staged collection that is only installed by the swap below, which bumps
-					return fmt.Errorf("xmldb: restore: %s/%d: spatial index: %w", sc.Name, sr.ID, err)
+					return nil, fmt.Errorf("xmldb: restore: %s/%d: spatial index: %w", sc.Name, sr.ID, err)
 				}
 			}
 			c.records[rec.ID] = rec
@@ -162,13 +179,16 @@ func (db *DB) Restore(r io.Reader) error {
 	if nextID <= maxID {
 		nextID = maxID + 1
 	}
+	return &Staged{collections: staged, nextID: nextID}, nil
+}
 
+// Install replaces the database contents with a decoded snapshot.
+func (db *DB) Install(st *Staged) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.collections = staged
-	db.nextID = nextID
+	db.collections = st.collections
+	db.nextID = st.nextID
 	// A restore replaces everything the database holds; any cached view
 	// keyed to an older version must be invalidated.
 	db.version.Add(1)
-	return nil
 }

@@ -3,7 +3,10 @@
 // populations, indexed for exact and misspelling-tolerant lookup.
 //
 // A Gazetteer is immutable once New returns: it is built in one pass from
-// a slice of entries and read without locks. Spatial queries (Near) are a
+// a slice of entries and read without locks. Each distinct normalised name
+// is stored once and maps to a span of entry IDs. Fuzzy lookup at edit
+// distance 1, the only distance the pipeline asks, probes a one-deletion
+// index; larger distances scan every name. Spatial queries (Near) are a
 // linear scan; no serving path asks one, so no spatial index is kept.
 //
 // The paper uses the GeoNames database for its ambiguity statistics
@@ -17,10 +20,11 @@ package gazetteer
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/geo"
 	"repro/internal/text"
@@ -44,7 +48,7 @@ const (
 type Entry struct {
 	ID         int64
 	Name       string // canonical display name
-	NormName   string // text.NormalizeName(Name)
+	NormName   string // text.NormalizeName(Name), shared with the name index
 	AltNames   []string
 	Location   geo.Point
 	Feature    FeatureClass
@@ -55,23 +59,31 @@ type Entry struct {
 // Gazetteer is an immutable in-memory toponym database with a name index.
 // It is safe for concurrent use.
 type Gazetteer struct {
-	entries []Entry            // entry ID i is entries[i-1]
-	byName  map[string][]int64 // normalised name -> entry IDs, ascending
-	// lenBuckets groups names by (first byte, rune length) so fuzzy lookup
-	// only scans names whose length is within the edit-distance budget.
-	lenBuckets map[bucketKey][]string
+	entries []Entry // entry ID i is entries[i-1]
+
+	// The name index. Each distinct normalised name (primary or
+	// alternate) is stored once in names, and Entry.NormName shares its
+	// string; the entry IDs indexed under names[i] are
+	// ids[idStart[i]:idStart[i+1]], ascending.
+	names   []string
+	nameOf  map[string]int32
+	idStart []int32
+	ids     []int32
+
+	// fuzzyKeys is the one-deletion index behind LookupFuzzy(name, 1):
+	// for every name, the hash of the name and of each one-rune deletion
+	// of it, with the low nameBits bits replaced by the name's index,
+	// sorted and deduplicated.
+	fuzzyKeys []uint64
+	nameBits  uint
 
 	// fuzzyMu guards fuzzyCache, the memo of LookupFuzzy results. Noisy
-	// streams repeat the same misspellings constantly, and the
-	// edit-distance scan dominates the extraction hot path, so memoizing
-	// it is the single largest throughput lever.
+	// streams repeat the same misspellings, and a memo hit is one map
+	// read, while an index probe hashes every deletion of the query,
+	// binary-searches each hash, verifies the candidates and builds the
+	// result; larger distances scan every name.
 	fuzzyMu    sync.Mutex
 	fuzzyCache map[fuzzyKey][]FuzzyMatch
-}
-
-type bucketKey struct {
-	first  byte
-	length int
 }
 
 type fuzzyKey struct {
@@ -90,10 +102,12 @@ const maxFuzzyCache = 8192
 // normalises to empty is an error.
 func New(entries []Entry) (*Gazetteer, error) {
 	g := &Gazetteer{
-		entries:    make([]Entry, len(entries)),
-		byName:     make(map[string][]int64),
-		lenBuckets: make(map[bucketKey][]string),
+		entries: make([]Entry, len(entries)),
+		nameOf:  make(map[string]int32),
 	}
+	// refs holds one (name index, entry ID) pair per indexed name, in ID
+	// order, until the counting pass below lays them out as spans.
+	refs := make([][2]int32, 0, len(entries))
 	for i, e := range entries {
 		if strings.TrimSpace(e.Name) == "" {
 			return nil, fmt.Errorf("gazetteer: entry %d: empty name", i)
@@ -102,36 +116,51 @@ func New(entries []Entry) (*Gazetteer, error) {
 			return nil, fmt.Errorf("gazetteer: entry %q: %w", e.Name, err)
 		}
 		e.ID = int64(i + 1)
-		e.NormName = text.NormalizeName(e.Name)
-		if e.NormName == "" {
+		norm := text.NormalizeName(e.Name)
+		if norm == "" {
 			return nil, fmt.Errorf("gazetteer: name %q normalises to empty", e.Name)
 		}
+		n := g.intern(norm)
+		e.NormName = g.names[n]
 		g.entries[i] = e
-		g.indexName(e.NormName, e.ID)
+		refs = append(refs, [2]int32{n, int32(e.ID)})
 		for _, alt := range e.AltNames {
 			if norm := text.NormalizeName(alt); norm != "" && norm != e.NormName {
-				g.indexName(norm, e.ID)
+				refs = append(refs, [2]int32{g.intern(norm), int32(e.ID)})
 			}
 		}
 	}
+	g.idStart = make([]int32, len(g.names)+1)
+	for _, r := range refs {
+		g.idStart[r[0]+1]++
+	}
+	for i := range g.names {
+		g.idStart[i+1] += g.idStart[i]
+	}
+	g.ids = make([]int32, len(refs))
+	next := slices.Clone(g.idStart[:len(g.names)])
+	for _, r := range refs {
+		g.ids[next[r[0]]] = r[1]
+		next[r[0]]++
+	}
+	g.buildFuzzyIndex()
 	return g, nil
 }
 
-func (g *Gazetteer) indexName(norm string, id int64) {
-	ids := g.byName[norm]
-	if len(ids) == 0 {
-		key := bucketKey{first: norm[0], length: runeCount(norm)}
-		g.lenBuckets[key] = append(g.lenBuckets[key], norm)
-	}
-	g.byName[norm] = append(ids, id)
-}
-
-func runeCount(s string) int {
-	n := 0
-	for range s {
-		n++
+// intern returns the index of the normalised name, adding it if new.
+func (g *Gazetteer) intern(norm string) int32 {
+	n, ok := g.nameOf[norm]
+	if !ok {
+		n = int32(len(g.names))
+		g.names = append(g.names, norm)
+		g.nameOf[norm] = n
 	}
 	return n
+}
+
+// idsOf returns the entry IDs indexed under names[n], ascending.
+func (g *Gazetteer) idsOf(n int32) []int32 {
+	return g.ids[g.idStart[n]:g.idStart[n+1]]
 }
 
 // Len returns the number of entries (references).
@@ -141,7 +170,7 @@ func (g *Gazetteer) Len() int {
 
 // NameCount returns the number of distinct indexed names.
 func (g *Gazetteer) NameCount() int {
-	return len(g.byName)
+	return len(g.names)
 }
 
 // Get returns the entry with the given ID.
@@ -152,8 +181,8 @@ func (g *Gazetteer) Get(id int64) (*Entry, bool) {
 	return &g.entries[id-1], true
 }
 
-// entriesOf resolves a name index list to its entries, in ID order.
-func (g *Gazetteer) entriesOf(ids []int64) []*Entry {
+// entriesOf resolves an ID span to its entries, in ID order.
+func (g *Gazetteer) entriesOf(ids []int32) []*Entry {
 	out := make([]*Entry, len(ids))
 	for i, id := range ids {
 		out[i] = &g.entries[id-1]
@@ -165,7 +194,11 @@ func (g *Gazetteer) entriesOf(ids []int64) []*Entry {
 // equals the given name, in ID order. This is the "degree of ambiguity" of
 // the name: len(Lookup(name)) is its reference count.
 func (g *Gazetteer) Lookup(name string) []*Entry {
-	return g.entriesOf(g.byName[text.NormalizeName(name)])
+	n, ok := g.nameOf[text.NormalizeName(name)]
+	if !ok {
+		return g.entriesOf(nil)
+	}
+	return g.entriesOf(g.idsOf(n))
 }
 
 // FuzzyMatch is a fuzzy-lookup result: the matched indexed name, its edit
@@ -179,8 +212,9 @@ type FuzzyMatch struct {
 // LookupFuzzy returns entries whose names are within maxDist
 // Damerau-Levenshtein edits of the query, grouped by matched name and
 // ordered by increasing distance then name. Exact matches are included at
-// distance 0. Length bucketing keeps the scan to names that could possibly
-// match.
+// distance 0. Distance 0 is answered from the name index, distance 1 by
+// probing the one-deletion index, and larger distances by scanning every
+// name within the length budget.
 //
 // The returned slice may be shared with other callers (results are
 // memoized): treat it, and the entries it points to, as read-only.
@@ -201,7 +235,18 @@ func (g *Gazetteer) LookupFuzzy(name string, maxDist int) []FuzzyMatch {
 		// the entries they point to) as read-only, which all of ner does.
 		return cached
 	}
-	out := g.lookupFuzzySlow(norm, maxDist)
+	var out []FuzzyMatch
+	switch maxDist {
+	case 0:
+		out = []FuzzyMatch{}
+		if n, ok := g.nameOf[norm]; ok {
+			out = append(out, g.match(n, 0))
+		}
+	case 1:
+		out = g.lookupFuzzyIndexed(norm)
+	default:
+		out = g.lookupFuzzySlow(norm, maxDist)
+	}
 	g.fuzzyMu.Lock()
 	if g.fuzzyCache == nil || len(g.fuzzyCache) >= maxFuzzyCache {
 		g.fuzzyCache = make(map[fuzzyKey][]FuzzyMatch)
@@ -211,51 +256,129 @@ func (g *Gazetteer) LookupFuzzy(name string, maxDist int) []FuzzyMatch {
 	return out
 }
 
-func (g *Gazetteer) lookupFuzzySlow(norm string, maxDist int) []FuzzyMatch {
-	qLen := runeCount(norm)
-	seen := make(map[string]int) // name -> distance
-	// Candidate first bytes: the query's own first byte always; if the
-	// budget allows deleting/substituting the first rune, all buckets with
-	// matching length must be scanned.
-	for key, names := range g.lenBuckets {
-		if key.length < qLen-maxDist || key.length > qLen+maxDist {
-			continue
-		}
-		if key.first != norm[0] && maxDist == 0 {
-			continue
-		}
-		for _, cand := range names {
-			if _, done := seen[cand]; done {
-				continue
-			}
-			if cand == norm {
-				seen[cand] = 0
-				continue
-			}
-			if maxDist == 0 {
-				continue
-			}
-			if text.WithinDistance(norm, cand, maxDist) {
-				seen[cand] = text.DamerauLevenshtein(norm, cand)
-			}
+// match is names[n] as a fuzzy-lookup result at distance dist.
+func (g *Gazetteer) match(n int32, dist int) FuzzyMatch {
+	return FuzzyMatch{Name: g.names[n], Distance: dist, Entries: g.entriesOf(g.idsOf(n))}
+}
+
+// lookupFuzzyIndexed answers LookupFuzzy(norm, 1) from the one-deletion
+// index: it verifies each candidate the index proposes.
+func (g *Gazetteer) lookupFuzzyIndexed(norm string) []FuzzyMatch {
+	out := []FuzzyMatch{}
+	for _, n := range g.fuzzyCandidates(norm) {
+		switch cand := g.names[n]; {
+		case cand == norm:
+			out = append(out, g.match(n, 0))
+		case text.WithinDistance(norm, cand, 1):
+			out = append(out, g.match(n, 1))
 		}
 	}
-	out := make([]FuzzyMatch, 0, len(seen))
-	for cand, dist := range seen {
-		out = append(out, FuzzyMatch{Name: cand, Distance: dist, Entries: g.entriesOf(g.byName[cand])})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		return out[i].Name < out[j].Name
-	})
+	sortMatches(out)
 	return out
+}
+
+// lookupFuzzySlow scans every name within maxDist runes of the query's
+// length. It serves maxDist >= 2 and is the oracle the index is tested
+// against.
+func (g *Gazetteer) lookupFuzzySlow(norm string, maxDist int) []FuzzyMatch {
+	qLen := utf8.RuneCountInString(norm)
+	out := []FuzzyMatch{}
+	for n, cand := range g.names {
+		if l := utf8.RuneCountInString(cand); l < qLen-maxDist || l > qLen+maxDist {
+			continue
+		}
+		switch {
+		case cand == norm:
+			out = append(out, g.match(int32(n), 0))
+		case text.WithinDistance(norm, cand, maxDist):
+			out = append(out, g.match(int32(n), text.DamerauLevenshtein(norm, cand)))
+		}
+	}
+	sortMatches(out)
+	return out
+}
+
+func sortMatches(ms []FuzzyMatch) {
+	slices.SortFunc(ms, func(a, b FuzzyMatch) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), strings.Compare(a.Name, b.Name))
+	})
+}
+
+// The one-deletion index (FastSS, k = 1: T. Bocek, E. Hunt and B.
+// Stiller, "Fast Similarity Search in Large Dictionaries", 2007). Two
+// strings within optimal-string-alignment distance 1 share a string made
+// by deleting at most one rune from each: a substitution at rune i
+// deletes i from both, an insertion deletes the extra rune from the
+// longer string, and a transposition of runes i, i+1 deletes i from one
+// and i+1 from the other ("xaby" and "xbay" both give "xby"). So every
+// match of a query shares a key with it, and a shared key that is a hash
+// collision is removed by the verification in lookupFuzzyIndexed.
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a continues the 64-bit FNV-1a hash h over the bytes of s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// eachDeletionHash calls fn with the FNV-1a hash of s and of every string
+// made by deleting one rune of s, without building those strings.
+func eachDeletionHash(s string, fn func(uint64)) {
+	fn(fnv1a(fnvOffset64, s))
+	prefix := uint64(fnvOffset64)
+	for i := 0; i < len(s); {
+		_, w := utf8.DecodeRuneInString(s[i:])
+		fn(fnv1a(prefix, s[i+w:]))
+		prefix = fnv1a(prefix, s[i:i+w])
+		i += w
+	}
+}
+
+// buildFuzzyIndex fills fuzzyKeys. The name index takes the low
+// bits.Len(len(names)) bits of each key, so the index needs no size cap.
+func (g *Gazetteer) buildFuzzyIndex() {
+	g.nameBits = uint(bits.Len(uint(len(g.names))))
+	mask := uint64(1)<<g.nameBits - 1
+	n := 0
+	for _, s := range g.names {
+		n += utf8.RuneCountInString(s) + 1
+	}
+	keys := make([]uint64, 0, n)
+	for i, s := range g.names {
+		eachDeletionHash(s, func(h uint64) { keys = append(keys, h&^mask|uint64(i)) })
+	}
+	slices.Sort(keys)
+	g.fuzzyKeys = slices.Compact(keys)
+}
+
+// fuzzyCandidates returns the distinct indexes of the names that share a
+// one-deletion key with norm: a superset of the names within distance 1.
+func (g *Gazetteer) fuzzyCandidates(norm string) []int32 {
+	mask := uint64(1)<<g.nameBits - 1
+	var cands []int32
+	eachDeletionHash(norm, func(h uint64) {
+		h &^= mask
+		i, _ := slices.BinarySearch(g.fuzzyKeys, h)
+		for ; i < len(g.fuzzyKeys) && g.fuzzyKeys[i]&^mask == h; i++ {
+			if n := int32(g.fuzzyKeys[i] & mask); !slices.Contains(cands, n) {
+				cands = append(cands, n)
+			}
+		}
+	})
+	return cands
 }
 
 // HasName reports whether the exact normalised name is indexed.
 func (g *Gazetteer) HasName(name string) bool {
-	return len(g.byName[text.NormalizeName(name)]) > 0
+	_, ok := g.nameOf[text.NormalizeName(name)]
+	return ok
 }
 
 // Near returns the entries within radiusMeters of p ordered by distance,

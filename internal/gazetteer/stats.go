@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/text"
 )
 
 // NameStat is one distinct name with its reference count (ambiguity
@@ -106,20 +104,6 @@ func (g *Gazetteer) Shares() ReferenceShares {
 	s.Three /= total
 	s.FourOrMore /= total
 	return s
-}
-
-// AmbiguityOf returns the reference count of a name (0 if unknown),
-// counting only primary names, to match the Table 1 semantics.
-func (g *Gazetteer) AmbiguityOf(name string) int {
-	norm := text.NormalizeName(name)
-	n := 0
-	g.EachEntry(func(e *Entry) bool {
-		if e.NormName == norm {
-			n++
-		}
-		return true
-	})
-	return n
 }
 
 // WriteTable1 renders the Table 1 reproduction to w in the paper's layout.

@@ -80,20 +80,6 @@ func TestSharesSmall(t *testing.T) {
 	}
 }
 
-func TestAmbiguityOf(t *testing.T) {
-	var es []Entry
-	for i := 0; i < 3; i++ {
-		es = append(es, testEntry("Cairo", 30, 31+float64(i), FeatureCity, "EG", 0))
-	}
-	g := build(t, es...)
-	if got := g.AmbiguityOf("cairo"); got != 3 {
-		t.Errorf("AmbiguityOf = %d", got)
-	}
-	if got := g.AmbiguityOf("atlantis"); got != 0 {
-		t.Errorf("unknown ambiguity = %d", got)
-	}
-}
-
 func TestWriteTable1AndFigures(t *testing.T) {
 	var es []Entry
 	for i := 0; i < 2; i++ {

@@ -17,6 +17,7 @@ package ner
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/gazetteer"
 	"repro/internal/ontology"
@@ -224,7 +225,7 @@ func (x *Extractor) toponymCandidate(tokens []text.Token, sp text.Span) (candida
 			ids = append(ids, r.ID)
 		}
 		cf = 0.6
-	} else if x.FuzzyDistance > 0 && len([]rune(sp.Text)) >= 5 {
+	} else if x.FuzzyDistance > 0 && utf8.RuneCountInString(sp.Text) >= 5 {
 		ms := x.Gaz.LookupFuzzy(sp.Text, x.FuzzyDistance)
 		if len(ms) > 0 {
 			for _, r := range ms[0].Entries {

@@ -1,6 +1,7 @@
 package neogeo
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/coordinator"
@@ -275,17 +276,16 @@ func publicResult(r xmldb.Result) Result {
 // withoutSourceTrace strips the provenance element from a document
 // before it is marshalled for display — the trace names contributing
 // users and must not leak through the XML any more than through the
-// field map. The stored document is never mutated.
+// field map. The stored document is never mutated: the copy is shallow,
+// a new root whose children slice omits the first direct Source_Trace
+// child and shares every other subtree, which Marshal only reads.
 func withoutSourceTrace(doc *pxml.Node) *pxml.Node {
-	if n, _ := doc.FirstChild(integrate.SourceTraceField); n == nil {
-		return doc
-	}
-	clean := doc.Clone()
-	for i, c := range clean.Children {
+	for i, c := range doc.Children {
 		if c.Tag == integrate.SourceTraceField {
-			clean.Children = append(clean.Children[:i], clean.Children[i+1:]...)
-			break
+			clean := *doc
+			clean.Children = slices.Delete(slices.Clone(doc.Children), i, i+1)
+			return &clean
 		}
 	}
-	return clean
+	return doc
 }

@@ -181,6 +181,9 @@ func (n *Node) FirstChild(tag string) (*Node, float64) {
 // TextContent concatenates the text leaves directly under n (certain
 // children only).
 func (n *Node) TextContent() string {
+	if len(n.Children) == 1 && n.Children[0].Kind == KindText {
+		return n.Children[0].Text
+	}
 	var sb strings.Builder
 	for _, c := range n.Children {
 		if c.Kind == KindText {

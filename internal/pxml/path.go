@@ -39,6 +39,20 @@ func ValueProb(doc *Node, path, value string) float64 {
 	return descend(doc, segs[1:], value)
 }
 
+// FieldValueProb is ValueProb(doc, doc.Tag+"/"+field, value), bit for
+// bit, for a field that is a child of the root: the query store's
+// per-record equality test. It builds and splits no path. Inputs the
+// path would split differently — a non-element root, an empty or
+// slash-bearing tag or field — and an empty value go to ValueProb.
+func FieldValueProb(doc *Node, field, value string) float64 {
+	if doc.Kind != KindElem || doc.Tag == "" || field == "" || value == "" ||
+		strings.Contains(doc.Tag, "/") || strings.Contains(field, "/") {
+		return ValueProb(doc, doc.Tag+"/"+field, value)
+	}
+	segs := [1]string{field}
+	return childrenMatchProb(doc.Children, segs[:], value)
+}
+
 // descend computes the probability that, under element n (assumed
 // present), the remaining path exists (and, when wantValue != "", its text
 // equals wantValue).

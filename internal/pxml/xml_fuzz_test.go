@@ -1,6 +1,9 @@
 package pxml
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzUnmarshal throws arbitrary documents at the probabilistic-XML
 // parser. The invariants:
@@ -49,6 +52,35 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if first != second {
 			t.Fatalf("Marshal is not a fixpoint:\nfirst:  %s\nsecond: %s", first, second)
+		}
+	})
+}
+
+// FuzzFieldValueProb: on any document Unmarshal accepts, FieldValueProb
+// returns bit for bit what ValueProb returns for the joined path — the
+// query store scores records with the former in place of the latter.
+func FuzzFieldValueProb(f *testing.F) {
+	seeds := []struct{ doc, field, value string }{
+		{"<Hotel><City>Berlin</City></Hotel>", "City", "Berlin"},
+		{`<Hotel><City><p:mux><p:text p="0.6">Berlin</p:text><p:text p="0.3">Paris</p:text></p:mux></City></Hotel>`, "City", "Paris"},
+		{`<Hotel><p:ind><City p="0.5">A</City></p:ind><City>B</City></Hotel>`, "City", "A"},
+		{`<Hotel><p:mux><City p="0.4">A</City><City p="0.5"><p:ind><p:text p="0.9">A</p:text></p:ind></City></p:mux></Hotel>`, "City", "A"},
+		{"<Hotel><City>A</City></Hotel>", "", "A"},
+		{"<Hotel><City>A</City></Hotel>", "City", ""},
+		{"<Hotel><City>A</City></Hotel>", "City/", "A"},
+		{"<Hotel><City><Inner>A</Inner></City></Hotel>", "City/Inner", "A"},
+	}
+	for _, s := range seeds {
+		f.Add(s.doc, s.field, s.value)
+	}
+	f.Fuzz(func(t *testing.T, doc, field, value string) {
+		n, err := Unmarshal(doc)
+		if err != nil {
+			return
+		}
+		got, want := FieldValueProb(n, field, value), ValueProb(n, n.Tag+"/"+field, value)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("FieldValueProb(%q, %q) = %v, ValueProb gives %v\ndoc: %s", field, value, got, want, doc)
 		}
 	})
 }

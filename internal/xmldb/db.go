@@ -2,8 +2,9 @@
 // collections of probabilistic XML records, each carrying a certainty
 // factor assigned by the data-integration service and an optional indexed
 // geographic location. A small XQuery-like language (query.go) supports
-// the topk/score queries of the paper's QA scenario plus spatial
-// predicates backed by an R-tree.
+// the topk/score queries of the paper's QA scenario: spatial predicates
+// are answered from an R-tree, field equalities from a value index
+// (index.go) built for the fields queries constrain.
 package xmldb
 
 import (
@@ -38,12 +39,18 @@ type Record struct {
 	Updated time.Time
 }
 
-// Collection is a named set of records with a spatial index.
+// Collection is a named set of records with a spatial index and a value
+// index of the fields queries constrain (index.go).
 type Collection struct {
 	name    string
 	records map[int64]*Record
 	order   []int64 // insertion order for deterministic scans
 	spatial *geo.RTree[int64]
+	// values holds the value index, one postings per indexed field.
+	values map[string]postings
+	// unordered marks a restored order that does not ascend by ID; the
+	// value index, which yields candidates by ID, is then bypassed.
+	unordered bool
 }
 
 // DB is the database: a set of collections. All methods are safe for
@@ -278,6 +285,7 @@ func (tx *Tx) Insert(collection string, doc *pxml.Node, certainty uncertain.CF, 
 	}
 	c.records[rec.ID] = rec
 	c.order = append(c.order, rec.ID)
+	c.reindex(rec.ID, nil, doc)
 	db.version.Add(1)
 	return rec, nil
 }
@@ -365,6 +373,7 @@ func (tx *Tx) Update(collection string, id int64, doc *pxml.Node, certainty unce
 		}
 	}
 	c.records[id] = next
+	c.reindex(id, rec.Doc, doc)
 	db.version.Add(1)
 	return nil
 }
@@ -384,6 +393,7 @@ func (tx *Tx) Delete(collection string, id int64) error {
 		c.spatial.Delete(geo.BBoxOf(*rec.Location), rec.ID)
 	}
 	delete(c.records, id)
+	c.reindex(id, rec.Doc, nil)
 	for i, oid := range c.order {
 		if oid == id {
 			c.order = append(c.order[:i], c.order[i+1:]...)
@@ -458,6 +468,10 @@ func (db *DB) nearLocked(collection string, p geo.Point, radiusMeters float64) [
 	if !ok {
 		return nil
 	}
+	return c.near(p, radiusMeters)
+}
+
+func (c *Collection) near(p geo.Point, radiusMeters float64) []int64 {
 	ns := c.spatial.Within(p, radiusMeters)
 	out := make([]int64, len(ns))
 	for i, n := range ns {

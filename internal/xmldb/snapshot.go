@@ -166,6 +166,9 @@ func DecodeSnapshot(r io.Reader) (*Staged, error) {
 					return nil, fmt.Errorf("xmldb: restore: %s/%d: spatial index: %w", sc.Name, sr.ID, err)
 				}
 			}
+			if n := len(c.order); n > 0 && rec.ID < c.order[n-1] {
+				c.unordered = true
+			}
 			c.records[rec.ID] = rec
 			c.order = append(c.order, rec.ID)
 			if rec.ID > maxID {

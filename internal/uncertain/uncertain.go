@@ -160,10 +160,13 @@ func (d *Dist) P(name string) float64 {
 	return d.alts[name] / total
 }
 
+// total sums the masses in insertion order: float addition is not
+// associative, so a map-ordered sum would differ in its last bits from
+// one build to the next.
 func (d *Dist) total() float64 {
 	var t float64
-	for _, m := range d.alts {
-		t += m
+	for _, name := range d.order {
+		t += d.alts[name]
 	}
 	return t
 }

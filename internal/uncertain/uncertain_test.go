@@ -230,6 +230,35 @@ func TestDistOrderingDeterministic(t *testing.T) {
 	}
 }
 
+// TestDistBitIdentical rebuilds one distribution many times: the total
+// behind P and Normalized must be summed in a fixed order, because float
+// addition is not associative and a map-ordered sum moves the last bits
+// from one build to the next.
+func TestDistBitIdentical(t *testing.T) {
+	masses := []float64{0.1, 0.7, 0.2, 0.3, 1e-3, 0.6, 1.1}
+	build := func() *Dist {
+		d := NewDist()
+		for i, m := range masses {
+			_ = d.Add(string(rune('a'+i)), m)
+		}
+		return d
+	}
+	ref := build()
+	wantP := math.Float64bits(ref.P("a"))
+	wantAlts := ref.Normalized()
+	for i := 0; i < 500; i++ {
+		d := build()
+		if got := math.Float64bits(d.P("a")); got != wantP {
+			t.Fatalf("build %d: P(a) bits %x, want %x", i, got, wantP)
+		}
+		for j, a := range d.Normalized() {
+			if a.Name != wantAlts[j].Name || math.Float64bits(a.P) != math.Float64bits(wantAlts[j].P) {
+				t.Fatalf("build %d: alternative %d = %+v, want %+v", i, j, a, wantAlts[j])
+			}
+		}
+	}
+}
+
 func TestDistEntropy(t *testing.T) {
 	d := NewDist()
 	_ = d.Set("only", 1)

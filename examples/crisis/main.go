@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	neogeo "repro"
 )
@@ -28,6 +29,10 @@ func main() {
 			neogeo.WithGazetteerNames(2000),
 			neogeo.WithGazetteerSeed(2011),
 			neogeo.WithShards(2),
+			// A fixed clock dates "this morning" and "4 hours ago" the
+			// same on every run, and keeps the snapshot's timestamps,
+			// and so its size, stable.
+			neogeo.WithClock(func() time.Time { return time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC) }),
 		)
 		if err != nil {
 			log.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	neogeo "repro"
 )
@@ -20,6 +21,9 @@ func main() {
 	sys, err := neogeo.New(
 		neogeo.WithGazetteerNames(2000),
 		neogeo.WithGazetteerSeed(2011),
+		// A fixed clock keeps the stored record's Observed_At, and so
+		// the printed XML, the same on every run.
+		neogeo.WithClock(func() time.Time { return time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC) }),
 	)
 	if err != nil {
 		log.Fatalf("building system: %v", err)

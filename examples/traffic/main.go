@@ -16,10 +16,13 @@ import (
 )
 
 func main() {
-	now := time.Now()
+	// A fixed clock dates the reports the same on every run, so the
+	// temporal expressions and the decay below print the same counts.
+	now := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
 	sys, err := neogeo.New(
 		neogeo.WithGazetteerNames(2000),
 		neogeo.WithGazetteerSeed(2011),
+		neogeo.WithClock(func() time.Time { return now }),
 	)
 	if err != nil {
 		log.Fatalf("building system: %v", err)

@@ -246,7 +246,7 @@ func BenchmarkDisambiguationContext(b *testing.B) {
 func benchTemplates(b *testing.B, g *gazetteer.Gazetteer, o *ontology.Ontology, n int) []extract.Template {
 	b.Helper()
 	k := kb.New()
-	ie, err := extract.NewService(k, g, o)
+	ie, err := extract.NewService(k, g, o, core.NewTrustModel().Reliability, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func BenchmarkIntegrationProbabilistic(b *testing.B) {
 	g, o := benchFixtures(b)
 	tpls := benchTemplates(b, g, o, 64)
 	db := xmldb.New()
-	di, err := integrate.NewService(kb.New(), db)
+	di, err := integrate.NewService(kb.New(), core.NewTrustModel(), db)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func BenchmarkIntegrationNaive(b *testing.B) {
 	g, o := benchFixtures(b)
 	tpls := benchTemplates(b, g, o, 64)
 	db := xmldb.New()
-	di, err := integrate.NewService(kb.New(), db)
+	di, err := integrate.NewService(kb.New(), core.NewTrustModel(), db)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -972,7 +972,7 @@ func BenchmarkShardIntegrateLanes(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				in, err := shard.NewIntegrator(kb.New(), st)
+				in, err := shard.NewIntegrator(kb.New(), core.NewTrustModel(), st)
 				if err != nil {
 					b.Fatal(err)
 				}

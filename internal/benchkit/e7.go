@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/integrate"
 	"repro/internal/kb"
@@ -60,11 +61,11 @@ func E7(cfg E7Config, w io.Writer) error {
 	}
 
 	probDB, naiveDB := xmldb.New(), xmldb.New()
-	prob, err := integrate.NewService(kb.New(), probDB)
+	prob, err := integrate.NewService(kb.New(), core.NewTrustModel(), probDB)
 	if err != nil {
 		return fmt.Errorf("probabilistic DI: %w", err)
 	}
-	naive, err := integrate.NewService(kb.New(), naiveDB)
+	naive, err := integrate.NewService(kb.New(), core.NewTrustModel(), naiveDB)
 	if err != nil {
 		return fmt.Errorf("naive DI: %w", err)
 	}

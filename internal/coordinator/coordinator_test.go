@@ -14,6 +14,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/qa"
 	"repro/internal/shard"
+	"repro/internal/uncertain"
 	"repro/internal/xmldb"
 )
 
@@ -53,15 +54,16 @@ func newCoordinatorServices(t *testing.T, q *mq.Queue) (*Coordinator, *xmldb.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie, err := extract.NewService(k, g, o)
+	trust := newTrust(t)
+	ie, err := extract.NewService(k, g, o, trust.Reliability, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	di, err := shard.NewIntegrator(k, store)
+	di, err := shard.NewIntegrator(k, trust, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := qa.NewService(store, k, g, o)
+	ans, err := qa.NewService(store, k, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,4 +256,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil, nil, nil); err == nil {
 		t.Error("nil deps accepted")
 	}
+}
+
+// newTrust returns a source-trust model with the system's starting
+// parameters (core.NewTrustModel).
+func newTrust(t testing.TB) *uncertain.TrustModel {
+	t.Helper()
+	m, err := uncertain.NewTrustModel(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

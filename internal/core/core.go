@@ -111,9 +111,15 @@ type Config struct {
 
 // System is the assembled pipeline.
 type System struct {
+	// Gaz, Ont and KB are the reference set: built before New shares
+	// them, and only read afterwards.
 	Gaz *gazetteer.Gazetteer
 	Ont *ontology.Ontology
 	KB  *kb.KB
+	// Trust is the learned source-trust model. Integration and feedback
+	// update it, extraction reads it, and the checkpoint image carries
+	// it across restarts.
+	Trust *uncertain.TrustModel
 	// Store is the (possibly sharded) probabilistic spatial XML store;
 	// with Shards <= 1 it wraps the single database, Store.Shard(0). All
 	// reads that must see the whole system go through it.
@@ -130,8 +136,8 @@ type System struct {
 	// Persist is the durability subsystem's checkpoint manager, nil
 	// without a data directory.
 	Persist *persist.Manager
-	// Priors is the disambiguation reinforcement memory shared by the
-	// extraction resolver and the feedback engine.
+	// Priors is the disambiguation reinforcement memory the feedback
+	// engine feeds and the extraction resolver consults.
 	Priors *disambig.Priors
 	// Feedback is the user-feedback engine: verdicts on answer results
 	// route to their record's home shard and apply in batches.
@@ -162,6 +168,17 @@ type DecayStats struct {
 	Deleted int64
 }
 
+// NewTrustModel returns the source-trust model a system starts from:
+// every unseen source has reliability 0.6, backed by four pseudo-
+// observations.
+func NewTrustModel() *uncertain.TrustModel {
+	t, err := uncertain.NewTrustModel(0.6, 4)
+	if err != nil {
+		panic(err) // static parameters; cannot fail
+	}
+	return t
+}
+
 // New builds a system.
 func New(cfg Config) (*System, error) {
 	s := &System{clock: cfg.Clock}
@@ -187,6 +204,7 @@ func New(cfg Config) (*System, error) {
 	s.Ont = ontology.New()
 	s.Ont.LoadContainment(s.Gaz)
 	s.KB = kb.New()
+	s.Trust = NewTrustModel()
 	s.Priors = disambig.NewPriors()
 
 	shards := cfg.Shards
@@ -243,7 +261,7 @@ func New(cfg Config) (*System, error) {
 		}
 		info, err := s.Persist.Recover(image{
 			store:     s.Store,
-			trust:     s.KB.Trust(),
+			trust:     s.Trust,
 			priors:    s.Priors,
 			recovered: &recoveredFB,
 		})
@@ -279,7 +297,7 @@ func New(cfg Config) (*System, error) {
 	}()
 	s.Feedback, err = feedback.NewEngine(feedback.Config{
 		Store:       s.Store,
-		KB:          s.KB,
+		Trust:       s.Trust,
 		Gaz:         s.Gaz,
 		Priors:      s.Priors,
 		Ledger:      ledger,
@@ -305,18 +323,17 @@ func New(cfg Config) (*System, error) {
 	} else {
 		s.Queue = mq.New(mq.WithClock(s.clock))
 	}
-	if s.IE, err = extract.NewService(s.KB, s.Gaz, s.Ont); err != nil {
-		return nil, err
-	}
 	// Close the loop: the extraction resolver consults the reinforcement
 	// priors the feedback engine feeds, so confirmed interpretations
 	// change how future ambiguous mentions resolve.
-	s.IE.Resolver().Priors = s.Priors
-	if s.Integrator, err = shard.NewIntegrator(s.KB, s.Store); err != nil {
+	if s.IE, err = extract.NewService(s.KB, s.Gaz, s.Ont, s.Trust.Reliability, s.Priors); err != nil {
+		return nil, err
+	}
+	if s.Integrator, err = shard.NewIntegrator(s.KB, s.Trust, s.Store); err != nil {
 		return nil, err
 	}
 	s.DIs = s.Integrator.Services()
-	if s.QA, err = qa.NewService(s.Store, s.KB, s.Gaz, s.Ont); err != nil {
+	if s.QA, err = qa.NewService(s.Store, s.KB, s.Gaz); err != nil {
 		return nil, err
 	}
 	if s.MC, err = coordinator.New(s.Queue, s.IE, s.Integrator, s.QA); err != nil {
@@ -521,7 +538,7 @@ func (s *System) Checkpoint(ctx context.Context) (persist.Info, error) {
 // image assembles the composite durable state: store bytes plus the
 // learned auxiliary state (trust, priors, feedback watermark).
 func (s *System) image() image {
-	return image{store: s.Store, trust: s.KB.Trust(), priors: s.Priors, eng: s.Feedback}
+	return image{store: s.Store, trust: s.Trust, priors: s.Priors, eng: s.Feedback}
 }
 
 // CheckpointStats is the durability subsystem's health snapshot.

@@ -363,3 +363,20 @@ func TestConcurrentIngestAsk(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTrustModelPrior: an unseen source starts at the 0.6 prior, and the
+// system's one trust model is the one its checkpoint image carries.
+func TestTrustModelPrior(t *testing.T) {
+	if r := NewTrustModel().Reliability("anyone"); r != 0.6 {
+		t.Fatalf("prior reliability = %v, want 0.6", r)
+	}
+	sys, err := New(Config{GazetteerNames: 300, Clock: func() time.Time { return t0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Trust.Contradict("troll")
+	if got := sys.image().trust.Reliability("troll"); got >= 0.6 {
+		t.Errorf("checkpointed trust did not see the contradiction: %v", got)
+	}
+}

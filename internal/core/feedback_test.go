@@ -181,7 +181,7 @@ func TestLearnedStateSurvivesRestart(t *testing.T) {
 	if n := sys.Feedback.Flush(); n != 1 {
 		t.Fatalf("applied %d, want 1", n)
 	}
-	wantTrust := sys.KB.Trust().Report()
+	wantTrust := sys.Trust.Report()
 	if len(wantTrust) == 0 {
 		t.Fatal("no trust evolved — the fixture is inert")
 	}
@@ -199,7 +199,7 @@ func TestLearnedStateSurvivesRestart(t *testing.T) {
 
 	restarted := build()
 	defer restarted.Close()
-	gotTrust := restarted.KB.Trust().Report()
+	gotTrust := restarted.Trust.Report()
 	if !reflect.DeepEqual(gotTrust, wantTrust) {
 		t.Errorf("trust after restart = %+v\nwant %+v", gotTrust, wantTrust)
 	}
@@ -264,14 +264,14 @@ func TestRestoreRejectsCorruptAuxAtomically(t *testing.T) {
 	if _, err := target.Ingest(context.Background(), "great night at the Hotel Elysium Park in Berlin", "bob"); err != nil {
 		t.Fatal(err)
 	}
-	wantTrust := target.KB.Trust().Report()
+	wantTrust := target.Trust.Report()
 	if err := target.Restore(bytes.NewReader(bad.Bytes())); err == nil {
 		t.Fatal("corrupt aux section restored without error")
 	}
 	if got := target.Store.Len("Hotels"); got != 1 {
 		t.Errorf("failed restore changed the store: %d records, want 1", got)
 	}
-	if got := target.KB.Trust().Report(); !reflect.DeepEqual(got, wantTrust) {
+	if got := target.Trust.Report(); !reflect.DeepEqual(got, wantTrust) {
 		t.Errorf("failed restore changed the trust model: %+v", got)
 	}
 }

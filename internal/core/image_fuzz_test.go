@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/disambig"
-	"repro/internal/kb"
 	"repro/internal/shard"
 )
 
@@ -48,7 +47,7 @@ func FuzzImageRestore(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		im := image{store: store, trust: kb.New().Trust(), priors: disambig.NewPriors()}
+		im := image{store: store, trust: NewTrustModel(), priors: disambig.NewPriors()}
 		if err := im.Restore(bytes.NewReader(seed)); err != nil {
 			t.Fatalf("seed image: %v", err)
 		}

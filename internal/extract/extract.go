@@ -9,9 +9,11 @@ package extract
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/classify"
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
 	"repro/internal/geo"
@@ -22,8 +24,6 @@ import (
 	"repro/internal/sentiment"
 	"repro/internal/text"
 	"repro/internal/uncertain"
-
-	"repro/internal/classify"
 )
 
 // Span names of the IE stages (bounded constants — the metriclabels
@@ -38,34 +38,39 @@ const (
 type Service struct {
 	kb       *kb.KB
 	gaz      *gazetteer.Gazetteer
-	ont      *ontology.Ontology
 	ner      *ner.Extractor
 	resolver *disambig.Resolver
 	typer    *classify.NaiveBayes
+	// reliability reads the learned source trust; extraction never writes it.
+	reliability func(source string) float64
+	cues        map[string]cue
 }
 
 // NewService wires the IE service and trains its message-type classifier
-// from the knowledge base's seed corpus.
-func NewService(k *kb.KB, g *gazetteer.Gazetteer, o *ontology.Ontology) (*Service, error) {
-	if k == nil || g == nil || o == nil {
+// from the knowledge base's seed corpus. The learned state comes in here:
+// source reliability and the disambiguation priors (nil for none).
+func NewService(k *kb.KB, g *gazetteer.Gazetteer, o *ontology.Ontology, reliability func(source string) float64, priors *disambig.Priors) (*Service, error) {
+	if k == nil || g == nil || o == nil || reliability == nil {
 		return nil, fmt.Errorf("extract: nil dependency")
 	}
 	typer, err := k.TrainTypeClassifier()
 	if err != nil {
 		return nil, fmt.Errorf("extract: training type classifier: %w", err)
 	}
+	resolver := disambig.NewResolver(g, o)
+	resolver.Priors = priors
 	return &Service{
-		kb:       k,
-		gaz:      g,
-		ont:      o,
-		ner:      ner.NewExtractor(g, o),
-		resolver: disambig.NewResolver(g, o),
-		typer:    typer,
+		kb:          k,
+		gaz:         g,
+		ner:         ner.NewExtractor(g, o),
+		resolver:    resolver,
+		typer:       typer,
+		reliability: reliability,
+		cues:        compileCues(k.Domains(), o),
 	}, nil
 }
 
-// Resolver exposes the geographic disambiguation resolver so the system
-// can attach shared state (the feedback-learned Priors) at construction.
+// Resolver exposes the geographic disambiguation resolver.
 func (s *Service) Resolver() *disambig.Resolver { return s.resolver }
 
 // MessageType is the IE service's first decision per message.
@@ -110,8 +115,6 @@ type Template struct {
 	Certainty uncertain.CF
 	// Location is the resolved position when a Location field resolved.
 	Location *geo.Point
-	// LocationName is the surface name of the resolved location.
-	LocationName string
 	// Source is the contributing user, for trust accounting.
 	Source string
 	// Extracted is the extraction timestamp.
@@ -150,16 +153,20 @@ func (s *Service) Extract(ctx context.Context, msg, source string, now time.Time
 	out.Relations = ner.ParseRelations(tokens)
 	nerStage.SetInt("entities", len(out.Entities))
 	nerStage.End(nil)
-	out.Domain = s.detectDomain(msg, out.Entities)
-	out.Keywords = s.keywords(msg, out.Entities)
-	if mtype == TypeRequest {
-		return out, nil
+	words := text.Words(text.Tokenize(text.Normalize(msg)))
+	di, _ := s.detectDomain(words, out.Entities)
+	if di >= 0 {
+		out.Domain = s.kb.Domains()[di].Name
 	}
-	domain, ok := s.kb.Domain(out.Domain)
-	if !ok {
-		return out, nil // no template for undetected domains
+	out.Keywords = keywords(words, out.Entities)
+	if mtype == TypeRequest || di < 0 {
+		return out, nil // no template for requests or undetected domains
 	}
-	tpls, err := s.fillTemplates(ctx, domain, msg, source, now, out)
+	fill := s.fillEvent
+	if s.kb.Domains()[di].Name == "tourism" {
+		fill = s.fillTourism
+	}
+	tpls, err := fill(ctx, di, msg, words, source, now, out)
 	if err != nil {
 		return nil, err
 	}
@@ -167,40 +174,63 @@ func (s *Service) Extract(ctx context.Context, msg, source string, now time.Time
 	return out, nil
 }
 
-// detectDomain picks the domain whose anchor concepts the message evokes,
-// scoring by cue count. Facility entities strongly indicate tourism.
-func (s *Service) detectDomain(msg string, entities []ner.Entity) string {
-	scores := map[string]int{}
-	words := text.Words(text.Tokenize(text.Normalize(msg)))
-	for _, d := range s.kb.Domains() {
-		for _, w := range words {
-			c, ok := s.ont.ConceptOf(w)
-			if !ok {
-				continue
+// detectDomain scores each domain in kb.Domains() order by the anchor
+// concepts the message's normalised words evoke; a facility naming a
+// tourism anchor concept strongly indicates tourism. best is the top domain's index, the first
+// by name among equal scores, or -1 when nothing scored.
+func (s *Service) detectDomain(words []string, entities []ner.Entity) (best int, scores []int) {
+	scores = make([]int, len(s.kb.Domains()))
+	for _, w := range words {
+		if c, ok := s.cues[w]; ok {
+			for i, n := range c.hits {
+				scores[i] += n
 			}
+		}
+	}
+	for i, d := range s.kb.Domains() {
+		for _, e := range entities {
+			if d.Name == "tourism" && e.Type == ner.TypeFacility && slices.Contains(d.AnchorConcepts, e.Concept) {
+				scores[i] += 2
+			}
+		}
+	}
+	best = -1
+	for i, sc := range scores {
+		if sc > 0 && (best < 0 || sc > scores[best]) {
+			best = i
+		}
+	}
+	return best, scores
+}
+
+// cue is a lexicon word's compiled domain rule: the concept it evokes
+// and, per domain in kb.Domains() order, how many of that domain's anchor
+// concepts the concept is a kind of.
+type cue struct {
+	concept string
+	hits    []int
+}
+
+// compileCues builds the word → domain rule once, at construction.
+func compileCues(domains []kb.Domain, o *ontology.Ontology) map[string]cue {
+	cues := make(map[string]cue)
+	o.EachLexeme(func(word, concept string) {
+		c := cue{concept: concept, hits: make([]int, len(domains))}
+		for i, d := range domains {
 			for _, anchor := range d.AnchorConcepts {
-				if s.ont.IsA(c, anchor) {
-					scores[d.Name]++
+				if o.IsA(concept, anchor) {
+					c.hits[i]++
 				}
 			}
 		}
-	}
-	for _, e := range entities {
-		if e.Type == ner.TypeFacility && (e.Concept == "hotel" || e.Concept == "hostel" || e.Concept == "restaurant" || e.Concept == "bar") {
-			scores["tourism"] += 2
-		}
-	}
-	best, bestScore := "", 0
-	for _, d := range s.kb.Domains() {
-		if sc := scores[d.Name]; sc > bestScore {
-			best, bestScore = d.Name, sc
-		}
-	}
-	return best
+		cues[word] = c
+	})
+	return cues
 }
 
-// keywords extracts the request keywords: content words plus entity names.
-func (s *Service) keywords(msg string, entities []ner.Entity) []string {
+// keywords extracts the request keywords: entity names, then the
+// message's content words.
+func keywords(words []string, entities []ner.Entity) []string {
 	seen := map[string]bool{}
 	var out []string
 	add := func(w string) {
@@ -212,41 +242,21 @@ func (s *Service) keywords(msg string, entities []ner.Entity) []string {
 	for _, e := range entities {
 		add(e.Norm)
 	}
-	for _, w := range text.ContentWords(text.Words(text.Tokenize(text.Normalize(msg)))) {
+	for _, w := range text.ContentWords(words) {
 		add(w)
 	}
 	return out
 }
 
-// fillTemplates builds one template per anchor entity (facility for
-// tourism) or one per message for event-style domains.
-func (s *Service) fillTemplates(ctx context.Context, domain kb.Domain, msg, source string, now time.Time, ex *Extraction) ([]Template, error) {
-	switch domain.Name {
-	case "tourism":
-		return s.fillTourism(ctx, domain, msg, source, now, ex)
-	default:
-		tpl, ok, err := s.fillEvent(ctx, domain, msg, source, now, ex)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []Template{tpl}, nil
-	}
-}
-
-func (s *Service) fillTourism(ctx context.Context, domain kb.Domain, msg, source string, now time.Time, ex *Extraction) ([]Template, error) {
+// fillTourism builds one template per facility mention.
+func (s *Service) fillTourism(ctx context.Context, di int, msg string, _ []string, source string, now time.Time, ex *Extraction) ([]Template, error) {
 	att := sentiment.Analyze(msg)
 	var out []Template
 	for _, e := range ex.Entities {
 		if e.Type != ner.TypeFacility {
 			continue
 		}
-		tpl := Template{
-			Domain:    domain.Name,
-			RecordTag: domain.RecordTag,
-			Fields:    make(map[string]FieldValue),
-			Source:    source,
-			Extracted: now,
-		}
+		tpl := s.newTemplate(di, source, now)
 		nameCF := uncertain.Attenuate(e.Confidence, float64(uncertain.ToProbability(s.kb.RuleCF("facility-cue"))))
 		tpl.Fields["Hotel_Name"] = FieldValue{Kind: kb.FieldText, Text: e.Text, CF: nameCF}
 
@@ -258,7 +268,6 @@ func (s *Service) fillTourism(ctx context.Context, domain kb.Domain, msg, source
 				return nil, err
 			}
 			tpl.Fields["Location"] = FieldValue{Kind: kb.FieldLocation, Text: loc.Text, CF: loc.Confidence}
-			tpl.LocationName = loc.Text
 			if best, ok := res.Best(); ok {
 				p := best.Entry.Location
 				tpl.Location = &p
@@ -271,31 +280,22 @@ func (s *Service) fillTourism(ctx context.Context, domain kb.Domain, msg, source
 			cf = uncertain.Combine(cf, uncertain.Attenuate(loc.Confidence, 0.8))
 		}
 		if att.Hits > 0 {
-			tpl.Fields["User_Attitude"] = FieldValue{
-				Kind: kb.FieldAttitude,
-				Dist: att.Attitude,
-				CF:   uncertain.FromProbability(topP(att.Attitude)),
-			}
+			tpl.Fields["User_Attitude"] = FieldValue{Kind: kb.FieldAttitude, Dist: att.Attitude, CF: uncertain.FromProbability(topP(att.Attitude))}
 		}
 		if price, ok := extractPrice(msg); ok {
 			tpl.Fields["Price"] = FieldValue{Kind: kb.FieldNumber, Num: price, CF: 0.6}
 		}
-		tpl.Certainty = uncertain.Attenuate(cf, s.kb.Trust().Reliability(source))
+		tpl.Certainty = uncertain.Attenuate(cf, s.reliability(source))
 		out = append(out, tpl)
 	}
 	return out, nil
 }
 
 // fillEvent builds the single-template extraction for traffic and farming
-// messages.
-func (s *Service) fillEvent(ctx context.Context, domain kb.Domain, msg, source string, now time.Time, ex *Extraction) (Template, bool, error) {
-	tpl := Template{
-		Domain:    domain.Name,
-		RecordTag: domain.RecordTag,
-		Fields:    make(map[string]FieldValue),
-		Source:    source,
-		Extracted: now,
-	}
+// messages; di is the domain's index in kb.Domains().
+func (s *Service) fillEvent(ctx context.Context, di int, msg string, words []string, source string, now time.Time, ex *Extraction) ([]Template, error) {
+	domain := s.kb.Domains()[di]
+	tpl := s.newTemplate(di, source, now)
 	// The "when" of W4: a temporal expression in the message ("flooded
 	// this morning", "accident 2 hours ago") dates the observation itself,
 	// not its arrival — newest-wins integration compares observation
@@ -331,36 +331,24 @@ func (s *Service) fillEvent(ctx context.Context, domain kb.Domain, msg, source s
 		}
 	}
 	if placeText == "" {
-		return Template{}, false, nil // required key missing: no template
+		return nil, nil // required key missing: no template
 	}
 	tpl.Fields[keyName] = FieldValue{Kind: kb.FieldText, Text: placeText, CF: placeCF}
 
 	if locEnt != nil {
 		res, err := s.resolveLocation(ctx, locEnt, ex)
 		if err != nil {
-			return Template{}, false, err
+			return nil, err
 		}
 		if best, ok := res.Best(); ok {
 			p := best.Entry.Location
 			tpl.Location = &p
-			tpl.LocationName = locEnt.Text
 		}
 	}
 
-	// Topic/Condition distribution from ontology concepts in the message.
-	dist := uncertain.NewDist()
-	words := text.Words(text.Tokenize(text.Normalize(msg)))
-	for _, w := range words {
-		if c, ok := s.ont.ConceptOf(w); ok {
-			for _, anchor := range domain.AnchorConcepts {
-				if s.ont.IsA(c, anchor) {
-					_ = dist.Add(c, 1)
-				}
-			}
-		}
-	}
+	dist := s.conceptDist(di, words)
 	if dist.Len() == 0 {
-		return Template{}, false, nil
+		return nil, nil
 	}
 	distField := "Topic"
 	if domain.Name == "traffic" {
@@ -378,8 +366,26 @@ func (s *Service) fillEvent(ctx context.Context, domain kb.Domain, msg, source s
 	if att.Hits > 0 {
 		tpl.Fields["User_Attitude"] = FieldValue{Kind: kb.FieldAttitude, Dist: att.Attitude, CF: uncertain.FromProbability(topP(att.Attitude))}
 	}
-	tpl.Certainty = uncertain.Attenuate(uncertain.Combine(placeCF, 0.3), s.kb.Trust().Reliability(source))
-	return tpl, true, nil
+	tpl.Certainty = uncertain.Attenuate(uncertain.Combine(placeCF, 0.3), s.reliability(source))
+	return []Template{tpl}, nil
+}
+
+// newTemplate starts an empty template of domain di from source.
+func (s *Service) newTemplate(di int, source string, now time.Time) Template {
+	d := s.kb.Domains()[di]
+	return Template{Domain: d.Name, RecordTag: d.RecordTag, Fields: make(map[string]FieldValue), Source: source, Extracted: now}
+}
+
+// conceptDist is an event's Topic/Condition distribution: each word's
+// concept, weighted by its anchor hits in domain di.
+func (s *Service) conceptDist(di int, words []string) *uncertain.Dist {
+	dist := uncertain.NewDist()
+	for _, w := range words {
+		if c, ok := s.cues[w]; ok && c.hits[di] > 0 {
+			_ = dist.Add(c.concept, float64(c.hits[di]))
+		}
+	}
+	return dist
 }
 
 // locationFor picks the location entity associated with a facility: a

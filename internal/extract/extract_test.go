@@ -12,6 +12,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/pxml"
 	"repro/internal/sentiment"
+	"repro/internal/uncertain"
 )
 
 func testService(t *testing.T) *Service {
@@ -34,7 +35,7 @@ func testService(t *testing.T) *Service {
 	}
 	o := ontology.New()
 	o.LoadContainment(g)
-	s, err := NewService(kb.New(), g, o)
+	s, err := NewService(kb.New(), g, o, newTrust(t).Reliability, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestExtractErrors(t *testing.T) {
 	if _, err := s.Extract(context.Background(), "   ", "x", scenarioTime); err == nil {
 		t.Error("blank message accepted")
 	}
-	if _, err := NewService(nil, nil, nil); err == nil {
+	if _, err := NewService(nil, nil, nil, nil, nil); err == nil {
 		t.Error("nil deps accepted")
 	}
 }
@@ -352,4 +353,15 @@ func TestExtractTemporalObservation(t *testing.T) {
 	if !ex2.Templates[0].Extracted.Equal(now) {
 		t.Errorf("Extracted = %v, want arrival time %v", ex2.Templates[0].Extracted, now)
 	}
+}
+
+// newTrust returns a source-trust model with the system's starting
+// parameters (core.NewTrustModel).
+func newTrust(t testing.TB) *uncertain.TrustModel {
+	t.Helper()
+	m, err := uncertain.NewTrustModel(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

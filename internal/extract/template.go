@@ -2,6 +2,8 @@ package extract
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 
 	"repro/internal/kb"
@@ -53,27 +55,18 @@ func (t Template) ToDoc() (*pxml.Node, error) {
 func (t Template) fieldOrder() []string {
 	known := []string{"Hotel_Name", "Place", "Region", "Location", "City",
 		"Country", "Condition", "Topic", "Observation", "User_Attitude", "Price"}
-	var out []string
-	seen := map[string]bool{}
+	var out, rest []string
 	for _, n := range known {
 		if _, ok := t.Fields[n]; ok {
 			out = append(out, n)
-			seen[n] = true
 		}
 	}
-	var rest []string
 	for n := range t.Fields {
-		if !seen[n] {
+		if !slices.Contains(known, n) {
 			rest = append(rest, n)
 		}
 	}
-	for i := 0; i < len(rest); i++ {
-		for j := i + 1; j < len(rest); j++ {
-			if rest[j] < rest[i] {
-				rest[i], rest[j] = rest[j], rest[i]
-			}
-		}
-	}
+	sort.Strings(rest)
 	return append(out, rest...)
 }
 

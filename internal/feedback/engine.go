@@ -11,7 +11,6 @@ import (
 	"repro/internal/gazetteer"
 	"repro/internal/geo"
 	"repro/internal/integrate"
-	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/pxml"
 	"repro/internal/shard"
@@ -105,7 +104,7 @@ const maxReplayTries = 256
 // exact with respect to the store image.
 type Engine struct {
 	store  *shard.Store
-	kb     *kb.KB
+	trust  *uncertain.TrustModel
 	gaz    *gazetteer.Gazetteer
 	priors *disambig.Priors
 	ledger Ledger
@@ -128,8 +127,8 @@ type Engine struct {
 type Config struct {
 	// Store is the (possibly sharded) record store verdicts apply to.
 	Store *shard.Store
-	// KB supplies the source-trust model and domain schemas.
-	KB *kb.KB
+	// Trust is the system's source-trust model, which verdicts feed.
+	Trust *uncertain.TrustModel
 	// Gaz resolves record place names back to gazetteer entries for the
 	// reinforcement signal.
 	Gaz *gazetteer.Gazetteer
@@ -154,12 +153,12 @@ type Config struct {
 
 // NewEngine builds an engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Store == nil || cfg.KB == nil || cfg.Gaz == nil || cfg.Priors == nil || cfg.Ledger == nil {
+	if cfg.Store == nil || cfg.Trust == nil || cfg.Gaz == nil || cfg.Priors == nil || cfg.Ledger == nil {
 		return nil, fmt.Errorf("feedback: nil dependency")
 	}
 	e := &Engine{
 		store:   cfg.Store,
-		kb:      cfg.KB,
+		trust:   cfg.Trust,
 		gaz:     cfg.Gaz,
 		priors:  cfg.Priors,
 		ledger:  cfg.Ledger,
@@ -458,7 +457,7 @@ func findRecord(tx *xmldb.Tx, colls []string, id int64) (*xmldb.Record, string) 
 // certainty update, the source-reliability feedback, and (for confirms
 // and location corrections) the disambiguation reinforcement.
 func (e *Engine) applyOne(tx *xmldb.Tx, coll string, rec *xmldb.Record, v Verdict) (outcomeKind, error) {
-	rel := e.kb.Trust().Reliability(v.Source)
+	rel := e.trust.Reliability(v.Source)
 	trace := integrate.TraceSources(rec.Doc)
 	switch v.Kind {
 	case KindConfirm:
@@ -469,7 +468,7 @@ func (e *Engine) applyOne(tx *xmldb.Tx, coll string, rec *xmldb.Record, v Verdic
 			return 0, err
 		}
 		for _, src := range trace {
-			e.kb.Trust().Confirm(src)
+			e.trust.Confirm(src)
 		}
 		if rec.Location != nil {
 			e.reinforce(rec.Doc, *rec.Location)
@@ -482,7 +481,7 @@ func (e *Engine) applyOne(tx *xmldb.Tx, coll string, rec *xmldb.Record, v Verdic
 			return 0, err
 		}
 		for _, src := range trace {
-			e.kb.Trust().Contradict(src)
+			e.trust.Contradict(src)
 		}
 		return appliedReject, nil
 
@@ -512,7 +511,7 @@ func (e *Engine) applyOne(tx *xmldb.Tx, coll string, rec *xmldb.Record, v Verdic
 			return 0, err
 		}
 		for _, src := range trace {
-			e.kb.Trust().Contradict(src)
+			e.trust.Contradict(src)
 		}
 		if newLoc != nil {
 			// A corrected location is the strongest reinforcement signal:

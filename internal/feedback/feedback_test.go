@@ -13,7 +13,6 @@ import (
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
 	"repro/internal/geo"
-	"repro/internal/kb"
 	"repro/internal/pxml"
 	"repro/internal/shard"
 	"repro/internal/uncertain"
@@ -26,7 +25,7 @@ var t0 = time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
 // an ambiguous "Paris", the trust model and the reinforcement priors.
 type fixture struct {
 	store   *shard.Store
-	kb      *kb.KB
+	trust   *uncertain.TrustModel
 	gaz     *gazetteer.Gazetteer
 	priors  *disambig.Priors
 	ledger  *MemLedger
@@ -52,7 +51,7 @@ func newFixture(t *testing.T, batch int) *fixture {
 	}
 	f := &fixture{
 		store:   store,
-		kb:      kb.New(),
+		trust:   newTrust(t),
 		gaz:     g,
 		priors:  disambig.NewPriors(),
 		ledger:  NewMemLedger(),
@@ -61,7 +60,7 @@ func newFixture(t *testing.T, batch int) *fixture {
 	}
 	f.eng, err = NewEngine(Config{
 		Store:  f.store,
-		KB:     f.kb,
+		Trust:  f.trust,
 		Gaz:    f.gaz,
 		Priors: f.priors,
 		Ledger: f.ledger,
@@ -117,7 +116,7 @@ func TestConfirmAppliesAllThreeEffects(t *testing.T) {
 	loc := f.parisFR.Location
 	id := f.insert(t, hotelDoc("Axel Hotel", "Paris", "alice,bob"), 0.5, &loc)
 
-	prior := f.kb.Trust().Reliability("alice")
+	prior := f.trust.Reliability("alice")
 	seq, err := f.eng.Submit(Verdict{RecordID: id, Kind: KindConfirm, Source: "carol"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -139,10 +138,10 @@ func TestConfirmAppliesAllThreeEffects(t *testing.T) {
 	if rec.Certainty <= 0.5 {
 		t.Errorf("certainty after confirm = %v, want > 0.5", rec.Certainty)
 	}
-	if got := f.kb.Trust().Reliability("alice"); got <= prior {
+	if got := f.trust.Reliability("alice"); got <= prior {
 		t.Errorf("alice reliability after confirm = %v, want > prior %v", got, prior)
 	}
-	if got := f.kb.Trust().Reliability("bob"); got <= prior {
+	if got := f.trust.Reliability("bob"); got <= prior {
 		t.Errorf("bob reliability after confirm = %v, want > prior %v", got, prior)
 	}
 	if b := f.priors.Boost("Paris", f.parisFR.ID); b <= 1 {
@@ -162,7 +161,7 @@ func TestConfirmAppliesAllThreeEffects(t *testing.T) {
 func TestRejectLowersCertaintyAndTrust(t *testing.T) {
 	f := newFixture(t, 16)
 	id := f.insert(t, hotelDoc("Grand Plaza", "Paris", "alice"), 0.7, nil)
-	prior := f.kb.Trust().Reliability("alice")
+	prior := f.trust.Reliability("alice")
 
 	if _, err := f.eng.Submit(Verdict{RecordID: id, Kind: KindReject, Source: "critic"}); err != nil {
 		t.Fatal(err)
@@ -173,7 +172,7 @@ func TestRejectLowersCertaintyAndTrust(t *testing.T) {
 	if rec.Certainty >= 0.7 {
 		t.Errorf("certainty after reject = %v, want < 0.7", rec.Certainty)
 	}
-	if got := f.kb.Trust().Reliability("alice"); got >= prior {
+	if got := f.trust.Reliability("alice"); got >= prior {
 		t.Errorf("alice reliability after reject = %v, want < prior %v", got, prior)
 	}
 	if st := f.eng.Stats(); st.Rejected != 1 {
@@ -339,7 +338,7 @@ func TestParkSkipsCoveredEntries(t *testing.T) {
 	// Watermark 3 with seq 5 resolved above it: the checkpoint was
 	// taken while seq 4 still deferred, after seq 5 applied.
 	eng, err := NewEngine(Config{
-		Store: f.store, KB: f.kb, Gaz: f.gaz, Priors: f.priors,
+		Store: f.store, Trust: f.trust, Gaz: f.gaz, Priors: f.priors,
 		Ledger: NewMemLedger(), AppliedSeq: 3, AppliedDone: []int64{5},
 	})
 	if err != nil {
@@ -513,4 +512,15 @@ func TestFlushAnnouncesAppliedVerdicts(t *testing.T) {
 	if fmt.Sprint(heard) != fmt.Sprint(want) {
 		t.Fatalf("observer heard %q, want %q", heard, want)
 	}
+}
+
+// newTrust returns a source-trust model with the system's starting
+// parameters (core.NewTrustModel).
+func newTrust(t testing.TB) *uncertain.TrustModel {
+	t.Helper()
+	m, err := uncertain.NewTrustModel(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -41,7 +41,7 @@ func TestIntegrateBatchMatchesSequential(t *testing.T) {
 	}
 
 	db := xmldb.New()
-	svc, err := NewService(kb.New(), db)
+	svc, err := NewService(kb.New(), newTrust(t), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestIntegrateBatchMatchesSequential(t *testing.T) {
 
 	// The same stream integrated one call at a time lands in the same state.
 	seqDB := xmldb.New()
-	seq, err := NewService(kb.New(), seqDB)
+	seq, err := NewService(kb.New(), newTrust(t), seqDB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,11 @@ func TestIntegrationConvergence(t *testing.T) {
 	}
 
 	probDB, naiveDB := xmldb.New(), xmldb.New()
-	prob, err := NewService(kb.New(), probDB)
+	prob, err := NewService(kb.New(), newTrust(t), probDB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NewService(kb.New(), naiveDB)
+	naive, err := NewService(kb.New(), newTrust(t), naiveDB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNewestWinsByObservationTime(t *testing.T) {
 
 	t.Run("fresh report supersedes", func(t *testing.T) {
 		db := xmldb.New()
-		s, err := NewService(kb.New(), db)
+		s, err := NewService(kb.New(), newTrust(t), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestNewestWinsByObservationTime(t *testing.T) {
 
 	t.Run("stale report is ignored", func(t *testing.T) {
 		db := xmldb.New()
-		s, err := NewService(kb.New(), db)
+		s, err := NewService(kb.New(), newTrust(t), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestNewestWinsByObservationTime(t *testing.T) {
 func TestObservedAtStamping(t *testing.T) {
 	base := time.Date(2011, 4, 1, 8, 0, 0, 0, time.UTC)
 	db := xmldb.New()
-	s, err := NewService(kb.New(), db)
+	s, err := NewService(kb.New(), newTrust(t), db)
 	if err != nil {
 		t.Fatal(err)
 	}

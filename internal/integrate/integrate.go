@@ -47,8 +47,9 @@ var (
 // database batch, so find-duplicate-then-update sequences cannot
 // interleave.
 type Service struct {
-	kb *kb.KB
-	db *xmldb.DB
+	kb    *kb.KB
+	trust *uncertain.TrustModel
+	db    *xmldb.DB
 }
 
 // Duplicate detection: matchThreshold is the minimum name similarity
@@ -59,12 +60,14 @@ const (
 	blockRadiusMeters = 50000
 )
 
-// NewService wires the DI service.
-func NewService(k *kb.KB, db *xmldb.DB) (*Service, error) {
-	if k == nil || db == nil {
+// NewService wires the DI service. trust is the system's source-trust
+// model: integration reads it to weigh evidence and feeds agreement and
+// contradiction back into it.
+func NewService(k *kb.KB, trust *uncertain.TrustModel, db *xmldb.DB) (*Service, error) {
+	if k == nil || trust == nil || db == nil {
 		return nil, fmt.Errorf("integrate: nil dependency")
 	}
-	return &Service{kb: k, db: db}, nil
+	return &Service{kb: k, trust: trust, db: db}, nil
 }
 
 // Action says what integration did with a template.
@@ -271,7 +274,7 @@ func (s *Service) insert(tx *xmldb.Tx, domain kb.Domain, tpl extract.Template) (
 	}
 	setObservedAt(doc, tpl.Extracted)
 	addSourceTrace(doc, tpl.Source)
-	cf := uncertain.Attenuate(tpl.Certainty, s.kb.Trust().Reliability(tpl.Source))
+	cf := uncertain.Attenuate(tpl.Certainty, s.trust.Reliability(tpl.Source))
 	rec, err := tx.Insert(domain.Collection, doc, cf, tpl.Location)
 	if err != nil {
 		return nil, err
@@ -283,7 +286,7 @@ func (s *Service) insert(tx *xmldb.Tx, domain kb.Domain, tpl extract.Template) (
 // merge folds the template into an existing record field by field.
 func (s *Service) merge(tx *xmldb.Tx, domain kb.Domain, rec *xmldb.Record, tpl extract.Template) (*Result, error) {
 	res := &Result{Action: ActionMerged, RecordID: rec.ID}
-	trust := s.kb.Trust().Reliability(tpl.Source)
+	trust := s.trust.Reliability(tpl.Source)
 	doc := rec.Doc.Clone()
 	agreed, contradicted := 0, 0
 	// newest-wins compares observation times (the "when" of W4), so a
@@ -405,9 +408,9 @@ func (s *Service) merge(tx *xmldb.Tx, domain kb.Domain, rec *xmldb.Record, tpl e
 	// more diagnostic event, so any contradiction counts against the
 	// source; corroboration counts for it only on conflict-free merges.
 	if contradicted > 0 {
-		s.kb.Trust().Contradict(tpl.Source)
+		s.trust.Contradict(tpl.Source)
 	} else if agreed > 0 {
-		s.kb.Trust().Confirm(tpl.Source)
+		s.trust.Confirm(tpl.Source)
 	}
 
 	// Record certainty: MYCIN-combine the standing certainty with the new

@@ -41,15 +41,26 @@ func hotelTemplate(name, source string, pGermany, pPositive float64, cf uncertai
 	}
 }
 
-func newService(t *testing.T) (*Service, *xmldb.DB, *kb.KB) {
+func newService(t *testing.T) (*Service, *xmldb.DB, *uncertain.TrustModel) {
 	t.Helper()
-	k := kb.New()
+	trust := newTrust(t)
 	db := xmldb.New()
-	s, err := NewService(k, db)
+	s, err := NewService(kb.New(), trust, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, db, k
+	return s, db, trust
+}
+
+// newTrust returns a source-trust model with the system's starting
+// parameters (core.NewTrustModel).
+func newTrust(t testing.TB) *uncertain.TrustModel {
+	t.Helper()
+	m, err := uncertain.NewTrustModel(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestIntegrateInsertsNovel(t *testing.T) {
@@ -164,7 +175,7 @@ func TestIntegrateConflictPoolsDistribution(t *testing.T) {
 }
 
 func TestIntegrateTrustFeedback(t *testing.T) {
-	s, _, k := newService(t)
+	s, _, trust := newService(t)
 	// Establish the positive view with several independent reports, so a
 	// lone dissenter cannot flip the pooled majority.
 	for i, src := range []string{"alice", "carol", "dave", "alice", "carol"} {
@@ -172,24 +183,24 @@ func TestIntegrateTrustFeedback(t *testing.T) {
 			t.Fatalf("setup %d: %v", i, err)
 		}
 	}
-	base := k.Trust().Reliability("troll")
+	base := trust.Reliability("troll")
 	// The troll repeatedly contradicts the established attitude.
 	for i := 0; i < 3; i++ {
 		if _, err := s.Integrate(hotelTemplate("Axel Hotel", "troll", 0.9, 0.05, 0.7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := k.Trust().Reliability("troll"); got >= base {
+	if got := trust.Reliability("troll"); got >= base {
 		t.Errorf("contradicting source kept reliability %v >= %v", got, base)
 	}
 	// An agreeing source gains trust.
-	baseBob := k.Trust().Reliability("bob")
+	baseBob := trust.Reliability("bob")
 	for i := 0; i < 3; i++ {
 		if _, err := s.Integrate(hotelTemplate("Axel Hotel", "bob", 0.9, 0.95, 0.7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := k.Trust().Reliability("bob"); got <= baseBob {
+	if got := trust.Reliability("bob"); got <= baseBob {
 		t.Errorf("agreeing source kept reliability %v <= %v", got, baseBob)
 	}
 }

@@ -3,13 +3,13 @@
 // probabilistic policies used when integrating new information with the
 // database. It stores domain definitions (which ontology concepts anchor a
 // template, which fields it carries), labelled seed texts for the message-
-// type classifier, and per-field conflict-resolution policies.
+// type classifier, and per-field conflict-resolution policies. A KB is
+// fixed once New returns; what the system learns (source trust, the
+// disambiguation priors) lives outside it.
 package kb
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/classify"
 	"repro/internal/text"
@@ -77,12 +77,11 @@ type Domain struct {
 	KeyField string
 }
 
-// KB is the knowledge base. Reads are safe for concurrent use.
+// KB is the knowledge base. It is immutable after New, so reads need no
+// lock.
 type KB struct {
-	mu       sync.RWMutex
-	domains  map[string]Domain
+	domains  []Domain // sorted by name
 	seeds    []Seed
-	trust    *uncertain.TrustModel
 	ruleCF   map[string]uncertain.CF // extraction-rule reliabilities
 	decayday float64                 // per-day certainty decay factor
 }
@@ -102,27 +101,24 @@ const (
 // New returns a knowledge base preloaded with the three validation-
 // scenario domains and the default training seeds.
 func New() *KB {
-	trust, err := uncertain.NewTrustModel(0.6, 4)
-	if err != nil {
-		panic(err) // static parameters; cannot fail
-	}
 	k := &KB{
-		domains:  make(map[string]Domain),
-		trust:    trust,
-		ruleCF:   make(map[string]uncertain.CF),
+		domains:  defaultDomains(),
+		seeds:    defaultSeeds(),
 		decayday: 0.995,
+		ruleCF: map[string]uncertain.CF{
+			"facility-cue":    0.7,
+			"gazetteer-exact": 0.8,
+			"gazetteer-fuzzy": 0.5,
+			"relation-phrase": 0.6,
+		},
 	}
-	k.seedDomains()
-	k.seeds = defaultSeeds()
-	k.ruleCF["facility-cue"] = 0.7
-	k.ruleCF["gazetteer-exact"] = 0.8
-	k.ruleCF["gazetteer-fuzzy"] = 0.5
-	k.ruleCF["relation-phrase"] = 0.6
+	sort.Slice(k.domains, func(i, j int) bool { return k.domains[i].Name < k.domains[j].Name })
 	return k
 }
 
-func (k *KB) seedDomains() {
-	k.domains["tourism"] = Domain{
+// defaultDomains declares the three validation-scenario templates.
+func defaultDomains() []Domain {
+	return []Domain{{
 		Name:           "tourism",
 		Collection:     "Hotels",
 		RecordTag:      "Hotel",
@@ -136,8 +132,7 @@ func (k *KB) seedDomains() {
 			{Name: "User_Attitude", Kind: FieldAttitude, Required: false, Policy: PolicyMergeDist},
 			{Name: "Price", Kind: FieldNumber, Required: false, Policy: PolicyTrustWeighted},
 		},
-	}
-	k.domains["traffic"] = Domain{
+	}, {
 		Name:           "traffic",
 		Collection:     "RoadReports",
 		RecordTag:      "RoadReport",
@@ -149,8 +144,7 @@ func (k *KB) seedDomains() {
 			{Name: "Condition", Kind: FieldDist, Required: true, Policy: PolicyNewest},
 			{Name: "User_Attitude", Kind: FieldAttitude, Required: false, Policy: PolicyMergeDist},
 		},
-	}
-	k.domains["farming"] = Domain{
+	}, {
 		Name:           "farming",
 		Collection:     "FarmReports",
 		RecordTag:      "FarmReport",
@@ -163,84 +157,34 @@ func (k *KB) seedDomains() {
 			{Name: "Observation", Kind: FieldText, Required: false, Policy: PolicyNewest},
 			{Name: "User_Attitude", Kind: FieldAttitude, Required: false, Policy: PolicyMergeDist},
 		},
-	}
+	}}
 }
 
-// Domain returns a registered domain.
+// Domain returns a domain by name.
 func (k *KB) Domain(name string) (Domain, bool) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	d, ok := k.domains[name]
-	return d, ok
-}
-
-// Domains returns all domains sorted by name.
-func (k *KB) Domains() []Domain {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	out := make([]Domain, 0, len(k.domains))
 	for _, d := range k.domains {
-		out = append(out, d)
+		if d.Name == name {
+			return d, true
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return Domain{}, false
 }
 
-// RegisterDomain adds or replaces a domain definition — the "portable,
-// domain-independent" knob the paper's introduction promises: a new
-// scenario is a new Domain value, not new code.
-func (k *KB) RegisterDomain(d Domain) error {
-	if d.Name == "" || d.Collection == "" || d.RecordTag == "" {
-		return fmt.Errorf("kb: domain needs name, collection and record tag")
-	}
-	if len(d.Fields) == 0 {
-		return fmt.Errorf("kb: domain %q has no fields", d.Name)
-	}
-	if d.KeyField != "" {
-		found := false
-		for _, f := range d.Fields {
-			if f.Name == d.KeyField {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("kb: key field %q not among fields", d.KeyField)
-		}
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.domains[d.Name] = d
-	return nil
-}
+// Domains returns all domains sorted by name. The slice is the KB's own;
+// callers must not modify it.
+func (k *KB) Domains() []Domain { return k.domains }
 
 // RuleCF returns the reliability of a named extraction rule (0 when
 // unknown).
-func (k *KB) RuleCF(rule string) uncertain.CF {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.ruleCF[rule]
-}
-
-// Trust exposes the source-trust model shared by extraction and
-// integration.
-func (k *KB) Trust() *uncertain.TrustModel {
-	return k.trust
-}
+func (k *KB) RuleCF(rule string) uncertain.CF { return k.ruleCF[rule] }
 
 // DecayPerDay returns the per-day certainty decay factor for time-
 // sensitive facts.
-func (k *KB) DecayPerDay() float64 {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.decayday
-}
+func (k *KB) DecayPerDay() float64 { return k.decayday }
 
-// Seeds returns the training corpus.
-func (k *KB) Seeds() []Seed {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return append([]Seed(nil), k.seeds...)
-}
+// Seeds returns the training corpus. The slice is the KB's own; callers
+// must not modify it.
+func (k *KB) Seeds() []Seed { return k.seeds }
 
 // TrainTypeClassifier builds the informative-vs-request Naive Bayes
 // classifier from the seed corpus ("These rules are generated from a set

@@ -1,8 +1,6 @@
 package kb
 
-import (
-	"testing"
-)
+import "testing"
 
 func TestDefaultDomains(t *testing.T) {
 	k := New()
@@ -39,35 +37,6 @@ func TestDefaultDomains(t *testing.T) {
 	}
 	if _, ok := k.Domain("astronomy"); ok {
 		t.Error("unknown domain found")
-	}
-}
-
-func TestRegisterDomain(t *testing.T) {
-	k := New()
-	err := k.RegisterDomain(Domain{
-		Name: "health", Collection: "Clinics", RecordTag: "Clinic",
-		KeyField: "Clinic_Name",
-		Fields: []FieldSpec{
-			{Name: "Clinic_Name", Kind: FieldText, Required: true},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := k.Domain("health"); !ok {
-		t.Error("registered domain missing")
-	}
-	// Validation failures.
-	bad := []Domain{
-		{},
-		{Name: "x", Collection: "C", RecordTag: "R"},
-		{Name: "x", Collection: "C", RecordTag: "R", KeyField: "nope",
-			Fields: []FieldSpec{{Name: "A"}}},
-	}
-	for i, d := range bad {
-		if err := k.RegisterDomain(d); err == nil {
-			t.Errorf("bad domain %d accepted", i)
-		}
 	}
 }
 
@@ -123,16 +92,10 @@ func TestTypeFeatures(t *testing.T) {
 	}
 }
 
+// TestTrustAndDecay checks the KB's fixed decay factor. Source trust is
+// learned state and left the KB; core owns it (core.TestTrustModelPrior).
 func TestTrustAndDecay(t *testing.T) {
-	k := New()
-	if k.Trust() == nil {
-		t.Fatal("nil trust model")
-	}
-	r := k.Trust().Reliability("anyone")
-	if r <= 0 || r >= 1 {
-		t.Errorf("prior reliability = %v", r)
-	}
-	d := k.DecayPerDay()
+	d := New().DecayPerDay()
 	if d <= 0.9 || d > 1 {
 		t.Errorf("decay = %v", d)
 	}

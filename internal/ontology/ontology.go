@@ -7,9 +7,7 @@ package ontology
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/gazetteer"
 	"repro/internal/text"
@@ -21,10 +19,10 @@ type Concept struct {
 	Parent string // empty for roots
 }
 
-// Ontology holds the taxonomy, lexicon and containment facts. Reads are
-// safe for concurrent use.
+// Ontology holds the taxonomy, lexicon and containment facts. New and
+// LoadContainment build it; once built and shared it is only read, so
+// reads take no lock.
 type Ontology struct {
-	mu       sync.RWMutex
 	concepts map[string]Concept
 	// lexicon maps a surface word to the concept it evokes
 	// ("inn" -> "hotel").
@@ -52,31 +50,31 @@ func (o *Ontology) seedTaxonomy() {
 			panic(err) // seed data is static; failure is a programming error
 		}
 	}
-	must(o.AddConcept("place", ""))
-	must(o.AddConcept("lodging", "place"))
-	must(o.AddConcept("hotel", "lodging"))
-	must(o.AddConcept("hostel", "lodging"))
-	must(o.AddConcept("food", "place"))
-	must(o.AddConcept("restaurant", "food"))
-	must(o.AddConcept("bar", "food"))
-	must(o.AddConcept("transport", "place"))
-	must(o.AddConcept("road", "transport"))
-	must(o.AddConcept("station", "transport"))
-	must(o.AddConcept("agriculture", ""))
-	must(o.AddConcept("crop", "agriculture"))
-	must(o.AddConcept("pest", "agriculture"))
-	must(o.AddConcept("market", "agriculture"))
-	must(o.AddConcept("weather", ""))
-	must(o.AddConcept("traffic", "transport"))
+	must(o.addConcept("place", ""))
+	must(o.addConcept("lodging", "place"))
+	must(o.addConcept("hotel", "lodging"))
+	must(o.addConcept("hostel", "lodging"))
+	must(o.addConcept("food", "place"))
+	must(o.addConcept("restaurant", "food"))
+	must(o.addConcept("bar", "food"))
+	must(o.addConcept("transport", "place"))
+	must(o.addConcept("road", "transport"))
+	must(o.addConcept("station", "transport"))
+	must(o.addConcept("agriculture", ""))
+	must(o.addConcept("crop", "agriculture"))
+	must(o.addConcept("pest", "agriculture"))
+	must(o.addConcept("market", "agriculture"))
+	must(o.addConcept("weather", ""))
+	must(o.addConcept("traffic", "transport"))
 	// Road states: the Condition alternatives a traffic report can assert.
 	// Distinct states make newest-wins integration meaningful — "clear"
 	// supersedes "congested" rather than pooling with it.
-	must(o.AddConcept("congested", "traffic"))
-	must(o.AddConcept("blocked", "traffic"))
-	must(o.AddConcept("flooded_road", "traffic"))
-	must(o.AddConcept("clear_road", "traffic"))
-	must(o.AddConcept("city", "place"))
-	must(o.AddConcept("country", "place"))
+	must(o.addConcept("congested", "traffic"))
+	must(o.addConcept("blocked", "traffic"))
+	must(o.addConcept("flooded_road", "traffic"))
+	must(o.addConcept("clear_road", "traffic"))
+	must(o.addConcept("city", "place"))
+	must(o.addConcept("country", "place"))
 
 	lex := map[string]string{
 		// Lodging.
@@ -109,19 +107,17 @@ func (o *Ontology) seedTaxonomy() {
 		"sunny": "weather", "weather": "weather",
 	}
 	for w, c := range lex {
-		must(o.AddLexeme(w, c))
+		must(o.addLexeme(w, c))
 	}
 }
 
-// AddConcept inserts a concept under the given parent ("" for a root).
+// addConcept inserts a concept under the given parent ("" for a root).
 // The parent must already exist.
-func (o *Ontology) AddConcept(name, parent string) error {
+func (o *Ontology) addConcept(name, parent string) error {
 	name = strings.ToLower(strings.TrimSpace(name))
 	if name == "" {
 		return fmt.Errorf("ontology: empty concept name")
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if parent != "" {
 		if _, ok := o.concepts[parent]; !ok {
 			return fmt.Errorf("ontology: parent concept %q not found", parent)
@@ -131,14 +127,12 @@ func (o *Ontology) AddConcept(name, parent string) error {
 	return nil
 }
 
-// AddLexeme maps a surface word to a concept, which must exist.
-func (o *Ontology) AddLexeme(word, concept string) error {
+// addLexeme maps a surface word to a concept, which must exist.
+func (o *Ontology) addLexeme(word, concept string) error {
 	word = strings.ToLower(strings.TrimSpace(word))
 	if word == "" {
 		return fmt.Errorf("ontology: empty lexeme")
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if _, ok := o.concepts[concept]; !ok {
 		return fmt.Errorf("ontology: concept %q not found for lexeme %q", concept, word)
 	}
@@ -148,8 +142,6 @@ func (o *Ontology) AddLexeme(word, concept string) error {
 
 // ConceptOf returns the concept a surface word evokes, if any.
 func (o *Ontology) ConceptOf(word string) (string, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
 	c, ok := o.lexicon[strings.ToLower(word)]
 	return c, ok
 }
@@ -159,8 +151,6 @@ func (o *Ontology) ConceptOf(word string) (string, bool) {
 func (o *Ontology) IsA(name, ancestor string) bool {
 	name = strings.ToLower(name)
 	ancestor = strings.ToLower(ancestor)
-	o.mu.RLock()
-	defer o.mu.RUnlock()
 	for name != "" {
 		if name == ancestor {
 			return true
@@ -174,30 +164,15 @@ func (o *Ontology) IsA(name, ancestor string) bool {
 	return false
 }
 
-// Ancestors returns the concept chain from name (exclusive) to its root.
-func (o *Ontology) Ancestors(name string) []string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	var out []string
-	cur, ok := o.concepts[strings.ToLower(name)]
-	if !ok {
-		return nil
+// EachLexeme calls fn for every lexicon entry, in no particular order.
+func (o *Ontology) EachLexeme(fn func(word, concept string)) {
+	for w, c := range o.lexicon {
+		fn(w, c)
 	}
-	for cur.Parent != "" {
-		out = append(out, cur.Parent)
-		next, ok := o.concepts[cur.Parent]
-		if !ok {
-			break
-		}
-		cur = next
-	}
-	return out
 }
 
 // CountryOf returns the containing country code recorded for a place.
 func (o *Ontology) CountryOf(place string) (string, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
 	c, ok := o.contains[text.NormalizeName(place)]
 	return c, ok
 }
@@ -206,7 +181,7 @@ func (o *Ontology) CountryOf(place string) (string, bool) {
 // city name maps to the country of its most populous reference, the same
 // "prominence" default GeoNames-based resolvers use. Among namesakes tied
 // on population the lowest ID wins, so the facts are the same on every
-// load.
+// load. It is a build step: call it before the ontology is shared.
 func (o *Ontology) LoadContainment(g *gazetteer.Gazetteer) {
 	best := make(map[string]*gazetteer.Entry)
 	g.EachEntry(func(e *gazetteer.Entry) bool {
@@ -219,21 +194,7 @@ func (o *Ontology) LoadContainment(g *gazetteer.Gazetteer) {
 		}
 		return true
 	})
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for norm, e := range best {
 		o.contains[norm] = e.Country
 	}
-}
-
-// Concepts returns all concept names, sorted, mainly for diagnostics.
-func (o *Ontology) Concepts() []string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	out := make([]string, 0, len(o.concepts))
-	for name := range o.concepts {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

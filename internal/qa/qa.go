@@ -16,7 +16,6 @@ import (
 	"repro/internal/kb"
 	"repro/internal/ner"
 	"repro/internal/obs"
-	"repro/internal/ontology"
 	"repro/internal/xmldb"
 )
 
@@ -48,7 +47,6 @@ type Service struct {
 	db  Store
 	kb  *kb.KB
 	gaz *gazetteer.Gazetteer
-	ont *ontology.Ontology
 	// K is the number of results returned (paper uses topk(3, …)).
 	K int
 	// MinCondP drops results whose where-clause probability falls below
@@ -59,11 +57,11 @@ type Service struct {
 
 // NewService wires the QA service around a query store (a single
 // database or a sharded one).
-func NewService(db Store, k *kb.KB, g *gazetteer.Gazetteer, o *ontology.Ontology) (*Service, error) {
-	if db == nil || k == nil || g == nil || o == nil {
+func NewService(db Store, k *kb.KB, g *gazetteer.Gazetteer) (*Service, error) {
+	if db == nil || k == nil || g == nil {
 		return nil, fmt.Errorf("qa: nil dependency")
 	}
-	return &Service{db: db, kb: k, gaz: g, ont: o, K: 3, MinCondP: 0.5}, nil
+	return &Service{db: db, kb: k, gaz: g, K: 3, MinCondP: 0.5}, nil
 }
 
 // Answer is the QA output for one request.
@@ -132,30 +130,12 @@ func (s *Service) Answer(ctx context.Context, ex *extract.Extraction) (Answer, e
 	return ans, nil
 }
 
-// analyze maps keywords and entities onto a domain, a location and
-// qualifiers.
+// analyze maps the extraction's domain, keywords and entities onto a
+// location and qualifiers. The domain is extraction's: every lexicon
+// word scores one, so a question whose words evoke no domain has none.
 func (s *Service) analyze(ex *extract.Extraction) (request, bool) {
 	var req request
-	domainName := ex.Domain
-	if domainName == "" {
-		// Fall back to concept scan over keywords.
-		for _, w := range ex.Keywords {
-			if c, ok := s.ont.ConceptOf(w); ok {
-				switch {
-				case s.ont.IsA(c, "lodging") || s.ont.IsA(c, "food"):
-					domainName = "tourism"
-				case s.ont.IsA(c, "transport"):
-					domainName = "traffic"
-				case s.ont.IsA(c, "agriculture"):
-					domainName = "farming"
-				}
-			}
-			if domainName != "" {
-				break
-			}
-		}
-	}
-	d, ok := s.kb.Domain(domainName)
+	d, ok := s.kb.Domain(ex.Domain)
 	if !ok {
 		return req, false
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/ontology"
 	"repro/internal/shard"
+	"repro/internal/uncertain"
 	"repro/internal/xmldb"
 )
 
@@ -53,13 +54,14 @@ func newWorld(t *testing.T, extra ...gazetteer.Entry) *world {
 	}
 	w.ont = ontology.New()
 	w.ont.LoadContainment(w.gaz)
-	if w.ie, err = extract.NewService(w.kb, w.gaz, w.ont); err != nil {
+	trust := newTrust(t)
+	if w.ie, err = extract.NewService(w.kb, w.gaz, w.ont, trust.Reliability, nil); err != nil {
 		t.Fatal(err)
 	}
-	if w.di, err = integrate.NewService(w.kb, w.db); err != nil {
+	if w.di, err = integrate.NewService(w.kb, trust, w.db); err != nil {
 		t.Fatal(err)
 	}
-	if w.qa, err = NewService(store, w.kb, w.gaz, w.ont); err != nil {
+	if w.qa, err = NewService(store, w.kb, w.gaz); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -199,7 +201,7 @@ func TestQAUnintelligible(t *testing.T) {
 }
 
 func TestNewServiceValidation(t *testing.T) {
-	if _, err := NewService(nil, nil, nil, nil); err == nil {
+	if _, err := NewService(nil, nil, nil); err == nil {
 		t.Error("nil deps accepted")
 	}
 }
@@ -336,4 +338,15 @@ func TestNearUnknownPlaceFallsBack(t *testing.T) {
 	if strings.Contains(ans.Query, "near(") {
 		t.Errorf("query should not contain spatial predicate for unknown place: %q", ans.Query)
 	}
+}
+
+// newTrust returns a source-trust model with the system's starting
+// parameters (core.NewTrustModel).
+func newTrust(t testing.TB) *uncertain.TrustModel {
+	t.Helper()
+	m, err := uncertain.NewTrustModel(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/integrate"
 	"repro/internal/kb"
+	"repro/internal/uncertain"
 )
 
 // Integrator is the sharded integration sink for the coordinator's
@@ -14,7 +15,7 @@ import (
 // single-writer invariant — all writes to one shard happen on one lane
 // goroutine, so the probabilistic merge path needs no cross-worker
 // coordination — while different lanes commit batches and group-ack in
-// parallel. Source-trust feedback stays global (the KB's trust model is
+// parallel. Source-trust feedback stays global (the one trust model is
 // internally synchronised), so a source's reliability is learned across
 // shards exactly as in the single-store system.
 type Integrator struct {
@@ -23,14 +24,15 @@ type Integrator struct {
 	svcs  []*integrate.Service
 }
 
-// NewIntegrator builds one integration service per shard of the store.
-func NewIntegrator(k *kb.KB, store *Store) (*Integrator, error) {
-	if k == nil || store == nil {
+// NewIntegrator builds one integration service per shard of the store,
+// all feeding the one source-trust model.
+func NewIntegrator(k *kb.KB, trust *uncertain.TrustModel, store *Store) (*Integrator, error) {
+	if k == nil || trust == nil || store == nil {
 		return nil, fmt.Errorf("shard: nil dependency")
 	}
 	svcs := make([]*integrate.Service, store.NumShards())
 	for i := range svcs {
-		svc, err := integrate.NewService(k, store.Shard(i))
+		svc, err := integrate.NewService(k, trust, store.Shard(i))
 		if err != nil {
 			return nil, err
 		}

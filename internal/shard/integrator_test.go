@@ -37,7 +37,7 @@ func TestIntegratorRoutesRepeatedReportsToOneLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIntegrator(kb.New(), st)
+	in, err := NewIntegrator(kb.New(), newTrust(t), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIntegratorLanesAreIndependentStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIntegrator(kb.New(), st)
+	in, err := NewIntegrator(kb.New(), newTrust(t), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDirectInsertAgreesWithLaneRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIntegrator(kb.New(), st)
+	in, err := NewIntegrator(kb.New(), newTrust(t), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestIntegratorCommitsReachStoreObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIntegrator(kb.New(), st)
+	in, err := NewIntegrator(kb.New(), newTrust(t), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,4 +184,15 @@ func TestIntegratorCommitsReachStoreObserver(t *testing.T) {
 	if want[2].c.Action != "merged" {
 		t.Fatalf("repeat report was %s, want merged", want[2].c.Action)
 	}
+}
+
+// newTrust returns a source-trust model with the system's starting
+// parameters (core.NewTrustModel).
+func newTrust(t testing.TB) *uncertain.TrustModel {
+	t.Helper()
+	m, err := uncertain.NewTrustModel(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -2,30 +2,6 @@ package text
 
 import "strings"
 
-// ContextFeatures returns feature identifiers describing the tokens
-// immediately before and after position i — the "external evidence" the
-// paper says classic NER uses.
-func ContextFeatures(tokens []Token, i int) []string {
-	var out []string
-	if i > 0 {
-		out = append(out, "prev:"+tokens[i-1].Lower)
-		if tokens[i-1].Kind == KindPunct {
-			out = append(out, "prev:punct")
-		}
-	} else {
-		out = append(out, "prev:<s>")
-	}
-	if i+1 < len(tokens) {
-		out = append(out, "next:"+tokens[i+1].Lower)
-		if tokens[i+1].Kind == KindPunct {
-			out = append(out, "next:punct")
-		}
-	} else {
-		out = append(out, "next:</s>")
-	}
-	return out
-}
-
 // stopwords are high-frequency function words excluded from keyword
 // extraction and entity candidates.
 var stopwords = map[string]bool{

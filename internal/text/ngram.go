@@ -2,22 +2,6 @@ package text
 
 import "strings"
 
-// WordNGrams returns all n-grams (as space-joined strings) of the given
-// word slice, for n in [minN, maxN]. Multi-word entity candidates ("Axel
-// Hotel", "Fox Sports Grill") come from these.
-func WordNGrams(words []string, minN, maxN int) []string {
-	if minN < 1 {
-		minN = 1
-	}
-	var out []string
-	for n := minN; n <= maxN; n++ {
-		for i := 0; i+n <= len(words); i++ {
-			out = append(out, strings.Join(words[i:i+n], " "))
-		}
-	}
-	return out
-}
-
 // Span is a half-open token index range [Start, End) with its joined text.
 type Span struct {
 	Start, End int
@@ -61,18 +45,4 @@ func TokenNGramSpans(tokens []Token, minN, maxN int) []Span {
 
 func isEntityRune(t Token) bool {
 	return t.Kind == KindWord || t.Kind == KindNumber || t.Kind == KindHashtag
-}
-
-// CharNGrams returns the character n-grams of a string (runes), used as
-// features by the informal-text named-entity classifier.
-func CharNGrams(s string, n int) []string {
-	runes := []rune(s)
-	if n < 1 || len(runes) < n {
-		return nil
-	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
-	}
-	return out
 }

@@ -1,27 +1,6 @@
 package text
 
-import (
-	"reflect"
-	"testing"
-)
-
-func TestWordNGrams(t *testing.T) {
-	words := []string{"axel", "hotel", "berlin"}
-	got := WordNGrams(words, 1, 2)
-	want := []string{"axel", "hotel", "berlin", "axel hotel", "hotel berlin"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("WordNGrams = %v, want %v", got, want)
-	}
-	if got := WordNGrams(nil, 1, 3); got != nil {
-		t.Errorf("empty input = %v", got)
-	}
-	if got := WordNGrams(words, 0, 1); len(got) != 3 {
-		t.Errorf("minN clamp: %v", got)
-	}
-	if got := WordNGrams(words, 4, 5); got != nil {
-		t.Errorf("n beyond length = %v", got)
-	}
-}
+import "testing"
 
 func TestTokenNGramSpans(t *testing.T) {
 	toks := Tokenize("loved Axel Hotel in Berlin, great stay")
@@ -48,24 +27,5 @@ func TestTokenNGramSpanOffsets(t *testing.T) {
 		if s.Start < 0 || s.End > len(toks) || s.Start >= s.End {
 			t.Fatalf("bad span %+v", s)
 		}
-	}
-}
-
-func TestCharNGrams(t *testing.T) {
-	got := CharNGrams("abcd", 2)
-	want := []string{"ab", "bc", "cd"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CharNGrams = %v", got)
-	}
-	if got := CharNGrams("ab", 3); got != nil {
-		t.Errorf("short input = %v", got)
-	}
-	if got := CharNGrams("abc", 0); got != nil {
-		t.Errorf("n=0 = %v", got)
-	}
-	// Unicode-safe.
-	got = CharNGrams("café", 2)
-	if len(got) != 3 || got[2] != "fé" {
-		t.Errorf("unicode ngrams = %v", got)
 	}
 }

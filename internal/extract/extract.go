@@ -176,8 +176,8 @@ func (s *Service) Extract(ctx context.Context, msg, source string, now time.Time
 
 // detectDomain scores each domain in kb.Domains() order by the anchor
 // concepts the message's normalised words evoke; a facility naming a
-// tourism anchor concept strongly indicates tourism. best is the top domain's index, the first
-// by name among equal scores, or -1 when nothing scored.
+// tourism anchor concept strongly indicates tourism. best is the top
+// index, the first by name among equal scores, or -1 if nothing scored.
 func (s *Service) detectDomain(words []string, entities []ner.Entity) (best int, scores []int) {
 	scores = make([]int, len(s.kb.Domains()))
 	for _, w := range words {
